@@ -21,7 +21,6 @@ the first observation.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, replace
 
 from .dists import CategoricalDistribution
@@ -29,7 +28,7 @@ from .errors import ModelValidationError, ProviderError, ShapeError
 from .inference import Belief, compute_vfe, surprise
 from .lab import ActionSpec, ExecutedAction, LabState, Observation
 from .model import GenerativeModel, validate_model
-from .planning import TIE_ATOL, expected_free_energy, enumerate_policies, rollout
+from .planning import argmin, enumerate_policies, expected_free_energy, rollout
 from .providers import (
     RefinementSummary,
     WorldModelProvider,
@@ -37,8 +36,6 @@ from .providers import (
     validate_response,
 )
 from .trace import OpCounter, TraceEvent, FreeEnergyLedger, build_ledger
-
-LEVELS = ("executive", "planner", "sensorimotor")
 
 BOTTOM_UP_KINDS = ("prediction-error", "policy-proposal")
 TOP_DOWN_KINDS = ("prediction", "policy-confirmation")
@@ -100,15 +97,6 @@ class Message:
             raise ShapeError(f"{self.direction} messages cannot carry kind {self.kind!r}")
 
 
-@dataclass
-class LevelState:
-    """One tier of the hierarchy: its belief view and message inbox."""
-
-    level: str
-    local_belief: Belief
-    inbox: deque
-
-
 @dataclass(frozen=True)
 class EpisodeResult:
     outcome: str
@@ -140,9 +128,6 @@ class Agent:
         self.provider = provider
         self.actions = actions
         self.counter = counter if counter is not None else OpCounter()
-        self.levels = {
-            name: LevelState(name, Belief(model.d, timestamp=0), deque()) for name in LEVELS
-        }
         # mutable task statistics, refined between episodes
         self.effect_per_ul = config.effect_per_ul
         self.acidification_frequency = config.acidification_frequency
@@ -163,9 +148,6 @@ class Agent:
         self._excess_history: list[float] = []
         self._readings: dict[str, float] = {}
         self._refined_key: tuple | None = None
-        for level in self.levels.values():
-            level.local_belief = Belief(self.model.d, timestamp=0)
-            level.inbox.clear()
 
     # -- per-step control loop -----------------------------------------
 
@@ -173,8 +155,6 @@ class Agent:
         """One full bottom-up/top-down pass; returns the next action."""
         step_i = self._t
         messages: list[Message] = []
-        for level in self.levels.values():
-            level.inbox.clear()
 
         prior = self._prior(step_i)
         predictive = self.model.a.predictive(obs.channel, prior.probs)
@@ -187,9 +167,7 @@ class Agent:
         self._excess_history.append(excess)
         self._remember_reading(obs)
         if prediction_error:
-            self._send(
-                messages,
-                "planner",
+            messages.append(
                 Message(
                     direction="bottom-up",
                     kind="prediction-error",
@@ -202,7 +180,7 @@ class Agent:
                         "baseline": baseline,
                     },
                     step=step_i,
-                ),
+                )
             )
 
         self._history.append(obs)
@@ -218,25 +196,21 @@ class Agent:
         if provider_error is not None:
             self._plan = self.model.policy(self.config.fallback_policy)
             self._cursor = 0
-            self._send(
-                messages,
-                "executive",
+            messages.append(
                 Message(
                     direction="bottom-up",
                     kind="policy-proposal",
                     payload={"policy": self._plan.label, "reason": "provider failure"},
                     step=step_i,
-                ),
+                )
             )
-            self._send(
-                messages,
-                "planner",
+            messages.append(
                 Message(
                     direction="top-down",
                     kind="policy-confirmation",
                     payload={"policy": self._plan.label, "fallback": True},
                     step=step_i,
-                ),
+                )
             )
         elif (
             prediction_error
@@ -255,9 +229,7 @@ class Agent:
 
         next_probs = self.model.b.push(posterior.probs, action_label)
         next_predictive = self.model.a.predictive(spec.observes, next_probs)
-        self._send(
-            messages,
-            "sensorimotor",
+        messages.append(
             Message(
                 direction="top-down",
                 kind="prediction",
@@ -267,14 +239,12 @@ class Agent:
                     "entropy": float(next_predictive.entropy()),
                 },
                 step=step_i,
-            ),
+            )
         )
 
         self._posterior = posterior
         self._last_action = action_label
         self._t += 1
-        for level in self.levels.values():
-            level.local_belief = posterior
 
         event = TraceEvent(
             step=step_i,
@@ -320,22 +290,19 @@ class Agent:
         candidates = enumerate_policies(
             self.model, self.config.planning_horizon, self.config.max_candidates
         )
+        plans = []
         table = []
         for policy in candidates:
-            table.append(expected_free_energy(self.model, posterior, policy))
+            plan = rollout(self.model, posterior, policy)
+            plans.append(plan)
+            table.append(expected_free_energy(self.model, plan))
             self.counter.efe_evaluations += 1
             self.counter.rollout_steps += policy.horizon
-        vetoed: set[int] = set()
+        totals = [row.total for row in table]
+        allowed = [True] * len(candidates)
         chosen = None
-        remaining = list(range(len(candidates)))
-        while remaining:
-            best = remaining[0]
-            for i in remaining[1:]:
-                if table[i].total < table[best].total - TIE_ATOL:
-                    best = i
-            self._send(
-                messages,
-                "executive",
+        while (best := argmin(totals, allowed)) is not None:
+            messages.append(
                 Message(
                     direction="bottom-up",
                     kind="policy-proposal",
@@ -344,13 +311,12 @@ class Agent:
                         "efeTotal": table[best].total,
                     },
                     step=step_i,
-                ),
+                )
             )
-            if not self._vetoes(candidates[best], posterior):
+            if not self._vetoes(plans[best]):
                 chosen = best
                 break
-            vetoed.add(best)
-            remaining.remove(best)
+            allowed[best] = False
 
         if chosen is None:
             # every candidate predicted a near-forbidden outcome; hand off
@@ -361,47 +327,38 @@ class Agent:
             self._plan = candidates[chosen]
             confirmation = {
                 "policy": self._plan.label,
-                "vetoed": [candidates[i].label for i in sorted(vetoed)],
+                "vetoed": [c.label for c, ok in zip(candidates, allowed) if not ok],
             }
             selected = self._plan.label
         self._cursor = 0
-        self._send(
-            messages,
-            "planner",
+        messages.append(
             Message(
                 direction="top-down",
                 kind="policy-confirmation",
                 payload=confirmation,
                 step=step_i,
-            ),
+            )
         )
         marked = tuple(
-            replace(b, vetoed=True) if i in vetoed else b for i, b in enumerate(table)
+            b if ok else replace(b, vetoed=True) for b, ok in zip(table, allowed)
         )
         return selected, marked
 
-    def _vetoes(self, policy, posterior: Belief) -> bool:
-        """Executive safety check on the would-be winner.
+    def _vetoes(self, plan) -> bool:
+        """Executive safety check on the would-be winner's rollout.
 
         A policy is rejected when any rollout step gives more than
         ``veto_probability`` to an outcome whose preference mass is at
         or below ``veto_outcome_mass`` (an effectively forbidden one).
         """
-        plan = rollout(self.model, posterior, policy)
-        self.counter.rollout_steps += policy.horizon
-        for step_obs in plan.observations:
-            for channel, dist in step_obs.items():
-                c_mass = self.model.c.channel_priors[channel].probs
-                risky = (c_mass <= self.config.veto_outcome_mass) & (
-                    dist.probs > self.config.veto_probability
-                )
-                if bool(risky.any()):
-                    return True
+        for channel, predicted in plan.outcomes.items():
+            c_mass = self.model.c.channel_priors[channel].probs
+            risky = (c_mass <= self.config.veto_outcome_mass) & (
+                predicted > self.config.veto_probability
+            )
+            if bool(risky.any()):
+                return True
         return False
-
-    def _send(self, log: list, level: str, message: Message) -> None:
-        self.levels[level].inbox.append(message)
-        log.append(message)
 
     def _remember_reading(self, obs: Observation) -> None:
         try:

@@ -39,7 +39,7 @@ class ProviderError(EngineError):
 
 
 class ReplayExhaustedError(ProviderError):
-    """A scripted provider ran out of recorded responses."""
+    """A scripted provider ran out of responses to replay."""
 
 
 class NoCandidateError(EngineError):

@@ -39,11 +39,13 @@ class ObservationModel:
     matrices: dict[str, np.ndarray]  # channel -> (n_states, n_outcomes)
 
     def __post_init__(self):
+        # a fresh dict, so the caller's dict never aliases the model's
+        matrices = dict(self.matrices)
         for name, outcomes in self.channels.items():
-            if name not in self.matrices:
+            if name not in matrices:
                 raise ShapeError(f"channel {name!r} has no likelihood matrix")
-            m = _matrix(self.matrices[name], len(self.states), len(outcomes), f"A[{name}]")
-            self.matrices[name] = m
+            matrices[name] = _matrix(matrices[name], len(self.states), len(outcomes), f"A[{name}]")
+        object.__setattr__(self, "matrices", matrices)
 
     def likelihood_column(self, channel: str, outcome: str) -> np.ndarray:
         """P(outcome | state) for every state, in state order."""

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dists import EPS, CategoricalDistribution
+from .dists import EPS
 from .errors import NoCandidateError, ShapeError
 from .inference import Belief
 from .model import GenerativeModel, Policy
@@ -28,11 +28,15 @@ TIE_ATOL = 1e-9
 
 @dataclass(frozen=True)
 class Rollout:
-    """Predicted state and observation distributions along one policy."""
+    """Predicted state and outcome probabilities along one policy.
+
+    ``states`` has one row per action, shape (H, S); ``outcomes`` maps
+    each channel to an (H, O) array whose rows are normalized.
+    """
 
     policy: Policy
-    states: tuple[np.ndarray, ...]  # state distribution after each action
-    observations: tuple[dict[str, CategoricalDistribution], ...]
+    states: np.ndarray
+    outcomes: dict[str, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -48,16 +52,17 @@ def rollout(model: GenerativeModel, belief: Belief, policy: Policy) -> Rollout:
     """Push the current belief through the policy's action sequence."""
     if belief.labels != model.states:
         raise ShapeError(f"belief labels {belief.labels} != states {model.states}")
-    states: list[np.ndarray] = []
-    observations: list[dict[str, CategoricalDistribution]] = []
     probs = belief.probs
+    states = []
     for action in policy.actions:
         probs = model.b.push(probs, action)
         states.append(probs)
-        observations.append(
-            {ch: model.a.predictive(ch, probs) for ch in model.channels}
-        )
-    return Rollout(policy=policy, states=tuple(states), observations=tuple(observations))
+    states = np.array(states)
+    outcomes = {}
+    for channel in model.channels:
+        weights = [s @ model.a.matrices[channel] for s in states]
+        outcomes[channel] = np.array([w / float(w.sum()) for w in weights])
+    return Rollout(policy=policy, states=states, outcomes=outcomes)
 
 
 def _mutual_information(state_probs: np.ndarray, a_matrix: np.ndarray) -> float:
@@ -84,22 +89,35 @@ def information_gain(model: GenerativeModel, plan: Rollout) -> float:
 def pragmatic_value(model: GenerativeModel, plan: Rollout) -> float:
     """Expected log-preference of predicted outcomes, all steps and channels."""
     total = 0.0
-    for step in plan.observations:
-        for channel, predicted in step.items():
-            total += float(np.sum(predicted.probs * model.c.log_prior(channel)))
+    for step in range(len(plan.states)):
+        for channel, predicted in plan.outcomes.items():
+            total += float(np.sum(predicted[step] * model.c.log_prior(channel)))
     return total
 
 
-def expected_free_energy(model: GenerativeModel, belief: Belief, policy: Policy) -> EfeBreakdown:
-    plan = rollout(model, belief, policy)
+def expected_free_energy(model: GenerativeModel, plan: Rollout) -> EfeBreakdown:
+    """Score one rolled-out policy."""
     epistemic = information_gain(model, plan)
     pragmatic = pragmatic_value(model, plan)
     return EfeBreakdown(
-        policy=policy.label,
+        policy=plan.policy.label,
         epistemic=epistemic,
         pragmatic=pragmatic,
         total=-epistemic - pragmatic,
     )
+
+
+def argmin(totals: list[float], allowed: list[bool]) -> int | None:
+    """Index of the lowest allowed total, or None when none is allowed.
+
+    Ties within TIE_ATOL go to the earlier index, so the result is
+    deterministic for a fixed candidate order.
+    """
+    best = None
+    for i, total in enumerate(totals):
+        if allowed[i] and (best is None or total < totals[best] - TIE_ATOL):
+            best = i
+    return best
 
 
 def select_policy(
@@ -107,18 +125,11 @@ def select_policy(
     belief: Belief,
     candidates: tuple[Policy, ...],
 ) -> tuple[Policy, tuple[EfeBreakdown, ...]]:
-    """Score every candidate and take the strict argmin.
-
-    Ties within TIE_ATOL go to the earlier-listed candidate, so the
-    result is deterministic for a fixed candidate order.
-    """
+    """Score every candidate and take the argmin."""
     if not candidates:
         raise NoCandidateError("select_policy needs at least one candidate")
-    table = tuple(expected_free_energy(model, belief, p) for p in candidates)
-    best = 0
-    for i in range(1, len(table)):
-        if table[i].total < table[best].total - TIE_ATOL:
-            best = i
+    table = tuple(expected_free_energy(model, rollout(model, belief, p)) for p in candidates)
+    best = argmin([row.total for row in table], [True] * len(table))
     return candidates[best], table
 
 

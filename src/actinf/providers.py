@@ -1,12 +1,13 @@
-"""World-model providers: whatever proposes posteriors and futures.
+"""World-model providers: whatever proposes posterior beliefs.
 
 The agent never updates beliefs directly; it sends the observation
 history and its pushed-forward prior to a provider and gets back a
-proposed posterior (plus an optional rollout and free-text rationale).
+proposed posterior plus a free-text rationale. Policy rollouts are the
+planner's own work (``actinf.planning``) and never cross this boundary.
 Three implementations ship:
 
 * TabularProvider - exact Bayes over the scenario's generative model.
-* ScriptedProvider - replays pre-recorded responses, for golden tests.
+* ScriptedProvider - replays a fixed response script, for golden tests.
 * RemoteProvider - POSTs the query to an HTTP endpoint speaking the
   wire format below and validates whatever comes back.
 
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import abc
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import requests
@@ -33,8 +34,7 @@ from .errors import (
     ShapeError,
 )
 from .inference import Belief, bayes_update
-from .model import GenerativeModel, Policy
-from .planning import Rollout, rollout
+from .model import GenerativeModel
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,6 @@ class WorldModelQuery:
 
     observation_history: tuple
     current_belief: Belief
-    candidate_policy: Policy | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "observation_history", tuple(self.observation_history))
@@ -55,7 +54,6 @@ class WorldModelQuery:
 @dataclass(frozen=True)
 class WorldModelResponse:
     proposed_posterior: CategoricalDistribution
-    predicted_rollout: Rollout | None = None
     rationale: str = ""
 
 
@@ -81,7 +79,7 @@ def validate_response(response: WorldModelResponse, states: tuple[str, ...]) -> 
 
 
 def query_wire_format(query: WorldModelQuery) -> dict:
-    doc = {
+    return {
         "history": [
             {"channel": o.channel, "outcome": o.outcome, "t": o.t}
             for o in query.observation_history
@@ -91,45 +89,24 @@ def query_wire_format(query: WorldModelQuery) -> dict:
             "probs": [float(p) for p in query.current_belief.probs],
         },
     }
-    if query.candidate_policy is not None:
-        doc["policy"] = {
-            "label": query.candidate_policy.label,
-            "actions": list(query.candidate_policy.actions),
-        }
-    return doc
 
 
 def response_wire_format(response: WorldModelResponse) -> dict:
-    doc = {
+    return {
         "posterior": {
             "labels": list(response.proposed_posterior.labels),
             "probs": [float(p) for p in response.proposed_posterior.probs],
         },
         "rationale": response.rationale,
     }
-    if response.predicted_rollout is not None:
-        plan = response.predicted_rollout
-        doc["rollout"] = [
-            {
-                "states": {
-                    label: float(p)
-                    for label, p in zip(response.proposed_posterior.labels, probs)
-                },
-                "observations": {
-                    ch: {o: float(p) for o, p in zip(dist.labels, dist.probs)}
-                    for ch, dist in obs.items()
-                },
-            }
-            for probs, obs in zip(plan.states, plan.observations)
-        ]
-    return doc
 
 
-def parse_response(doc, policy: Policy | None = None) -> WorldModelResponse:
+def parse_response(doc) -> WorldModelResponse:
     """Build a validated response from wire-format JSON.
 
     Malformed structure or an invalid posterior raises ProviderError
-    carrying the raw payload; probabilities are never repaired.
+    carrying the raw payload; probabilities are never repaired. Keys
+    other than ``posterior`` and ``rationale`` are ignored.
     """
     if not isinstance(doc, dict) or "posterior" not in doc:
         raise ProviderError("response has no posterior", payload=doc)
@@ -143,27 +120,8 @@ def parse_response(doc, policy: Policy | None = None) -> WorldModelResponse:
         dist = CategoricalDistribution(labels, probs)
     except (DegenerateDistributionError, ShapeError) as exc:
         raise ProviderError(f"invalid posterior: {exc}", payload=doc) from exc
-
-    plan = None
-    if doc.get("rollout") and policy is not None:
-        try:
-            states = tuple(
-                np.array([float(step["states"][label]) for label in labels])
-                for step in doc["rollout"]
-            )
-            observations = tuple(
-                {
-                    ch: CategoricalDistribution(tuple(d.keys()), list(d.values()))
-                    for ch, d in step.get("observations", {}).items()
-                }
-                for step in doc["rollout"]
-            )
-        except (KeyError, TypeError, ValueError, DegenerateDistributionError, ShapeError) as exc:
-            raise ProviderError(f"invalid rollout: {exc}", payload=doc) from exc
-        plan = Rollout(policy=policy, states=states, observations=observations)
     return WorldModelResponse(
         proposed_posterior=dist,
-        predicted_rollout=plan,
         rationale=str(doc.get("rationale", "")),
     )
 
@@ -175,7 +133,7 @@ def _trace_key(events) -> tuple:
 
 
 class WorldModelProvider(abc.ABC):
-    """Anything that can propose posterior beliefs and predict futures."""
+    """Anything that can propose posterior beliefs."""
 
     name = "provider"
 
@@ -184,24 +142,19 @@ class WorldModelProvider(abc.ABC):
         ...
 
     def refine(self, events) -> tuple[RefinementSummary, ...]:
-        """Record an episode for later use; no local parameters here."""
-        self.recorded.append(tuple(events))
+        """Learn from a finished episode; no local parameters here."""
         return ()
-
-    @property
-    def recorded(self) -> list:
-        if not hasattr(self, "_recorded"):
-            self._recorded = []
-        return self._recorded
 
 
 class TabularProvider(WorldModelProvider):
     """Exact Bayes over the scenario model: the reference engine.
 
-    Refinement recalibrates the observation model in place: after an
-    episode whose first surprise flagged channel X with outcome o under
-    dominant state s, the likelihood A[X][s, o] moves toward certainty
-    by ``reliability_lr`` and the rest of the row rescales.
+    Refinement recalibrates the provider's own observation model: after
+    an episode whose first surprise flagged channel X with outcome o
+    under dominant state s, the likelihood A[X][s, o] moves toward
+    certainty by ``reliability_lr`` and the rest of the row rescales.
+    ``self.model`` is rebound to the refined copy; the model it was
+    built with is left untouched.
     """
 
     name = "tabular"
@@ -222,12 +175,8 @@ class TabularProvider(WorldModelProvider):
             posterior = bayes_update(query.current_belief, column, obs=obs)
         except EngineError as exc:
             raise ProviderError(str(exc), payload=None) from exc
-        plan = None
-        if query.candidate_policy is not None:
-            plan = rollout(self.model, posterior, query.candidate_policy)
         return WorldModelResponse(
             proposed_posterior=posterior.posterior,
-            predicted_rollout=plan,
             rationale=f"exact update on {obs.channel}={obs.outcome}",
         )
 
@@ -258,8 +207,8 @@ class TabularProvider(WorldModelProvider):
         scale = (1.0 - new) / rest if rest > 0 else 0.0
         matrix[s] = matrix[s] * scale
         matrix[s, j] = new
-        matrix.flags.writeable = False
-        self.model.a.matrices[channel] = matrix
+        a = self.model.a
+        self.model = replace(self.model, a=replace(a, matrices={**a.matrices, channel: matrix}))
         state = self.model.states[s]
         return (
             RefinementSummary(
@@ -332,4 +281,4 @@ class RemoteProvider(WorldModelProvider):
             doc = http.json()
         except ValueError as exc:
             raise ProviderError("remote provider sent non-JSON", payload=http.text) from exc
-        return parse_response(doc, policy=query.candidate_policy)
+        return parse_response(doc)

@@ -23,6 +23,7 @@ from actinf.model import (
     PreferenceModel,
     TransitionModel,
 )
+from actinf.planning import enumerate_policies
 from actinf.providers import TabularProvider, WorldModelProvider, WorldModelResponse
 from actinf.scenario import resolve_scenario
 from actinf.trace import TraceEvent
@@ -411,6 +412,31 @@ def test_all_candidates_vetoed_falls_back_without_selection():
     assert event.action == "wait"  # the fallback plan still executes
     confirmation = next(m for m in event.messages if m.kind == "policy-confirmation")
     assert confirmation.payload == {"policy": "hold", "fallback": True}
+
+
+def assert_one_rollout_per_candidate(events, model, config):
+    candidates = enumerate_policies(model, config.planning_horizon, config.max_candidates)
+    last = {"efeEvaluations": 0, "rolloutSteps": 0}
+    for event in events:
+        if event.efe_table:
+            counts = event.op_counts
+            assert counts["efeEvaluations"] - last["efeEvaluations"] == len(candidates)
+            assert counts["rolloutSteps"] - last["rolloutSteps"] == sum(
+                p.horizon for p in candidates
+            )
+        last = event.op_counts
+
+
+def test_each_replan_rolls_out_each_candidate_once(assay):
+    _, result, _ = assay_episode(assay)
+    assert_one_rollout_per_candidate(result.events, assay.model, assay.agent)
+
+    # the veto reads the candidates' rollouts instead of rolling out again
+    model, actions, config = hazard_scenario()
+    agent = Agent(model, config, TabularProvider(model), actions)
+    _, event = agent.step(Observation("meter", "m0", 0))
+    assert any(row.vetoed for row in event.efe_table)
+    assert_one_rollout_per_candidate([event], model, config)
 
 
 def test_replanning_only_on_error_bootstrap_or_exhaustion():

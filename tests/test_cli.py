@@ -5,11 +5,13 @@ import pathlib
 
 import pytest
 
+from actinf.agent import Agent, run_episode
 from actinf.cli import build_provider, main
 from actinf.errors import ScenarioError
+from actinf.lab import LabEnv
 from actinf.providers import RemoteProvider, ScriptedProvider, TabularProvider
 from actinf.scenario import resolve_scenario
-from actinf.trace import read_trace
+from actinf.trace import emit_trace, read_trace
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -96,6 +98,23 @@ def test_sweep_summary(tmp_path, capsys):
     assert summary["unsafeFirstSelections"] == 0
     assert summary["spillEpisodes"] == 0
     assert [row["seed"] for row in summary["perSeed"]] == [1, 2, 3, 4, 5]
+
+
+def test_sweep_seeds_do_not_depend_on_earlier_seeds():
+    # `actinf sweep` shares one scenario across its seeds, with a fresh
+    # provider and agent per seed; each seed must trace as if run alone
+    shared = resolve_scenario("lab_assay")
+    for seed in (1, 2, 3):
+        traces = []
+        for scenario in (shared, resolve_scenario("lab_assay")):
+            provider = build_provider("tabular", scenario)
+            agent = Agent(scenario.model, scenario.agent, provider, scenario.actions)
+            env = LabEnv(scenario.env, scenario.model.channels, seed=seed)
+            result, _ = run_episode(agent, env)
+            traces.append(
+                emit_trace(result.events, scenario=scenario.name, seed=seed, provider="tabular")
+            )
+        assert traces[0] == traces[1], f"seed {seed}"
 
 
 def test_build_provider_dispatch():

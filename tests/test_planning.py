@@ -65,7 +65,7 @@ def test_rollout_deterministic_step():
     plan = rollout(model, belief, Policy("p", ("go",)))
     assert np.allclose(plan.states[0], [0.0, 1.0], atol=1e-12)
     # observation distribution is the pushed state through A
-    assert plan.observations[0]["obs"].probs == pytest.approx([0.1, 0.9])
+    assert plan.outcomes["obs"][0] == pytest.approx([0.1, 0.9])
 
 
 def test_rollout_rejects_foreign_belief():
@@ -114,7 +114,7 @@ def test_efe_delta_belief_uniform_preferences_all_tie():
     horizon = 2
     totals = []
     for policy in enumerate_policies(model, horizon=horizon, max_count=16):
-        bd = expected_free_energy(model, belief, policy)
+        bd = expected_free_energy(model, rollout(model, belief, policy))
         assert bd.epistemic == pytest.approx(0.0, abs=1e-12)
         totals.append(bd.total)
     assert totals == pytest.approx([-horizon * math.log(0.5)] * 4, abs=1e-12)
@@ -225,7 +225,7 @@ def test_efe_matches_path_enumeration_oracle():
     for _ in range(200):
         model, belief = random_model(rng)
         policy = random_policy(rng, model)
-        bd = expected_free_energy(model, belief, policy)
+        bd = expected_free_energy(model, rollout(model, belief, policy))
         ig, pa, total = efe_by_enumeration(model, belief, policy)
         assert bd.epistemic == pytest.approx(ig, abs=1e-6)
         assert bd.pragmatic == pytest.approx(pa, abs=1e-6)

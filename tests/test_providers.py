@@ -13,7 +13,6 @@ from actinf.dists import normalize
 from actinf.errors import ProviderError, ReplayExhaustedError, ShapeError
 from actinf.inference import Belief, VfeReport, bayes_update
 from actinf.lab import Observation
-from actinf.planning import rollout
 from actinf.providers import (
     RemoteProvider,
     ScriptedProvider,
@@ -34,7 +33,6 @@ DATA = pathlib.Path(__file__).parent / "data"
 
 @pytest.fixture()
 def assay():
-    # function-scoped: refinement mutates the observation model in place
     return resolve_scenario("lab_assay")
 
 
@@ -42,11 +40,9 @@ def prior_belief(model):
     return Belief(model.d, timestamp=0)
 
 
-def query_for(model, *observations, policy=None):
+def query_for(model, *observations):
     return WorldModelQuery(
-        observation_history=tuple(observations),
-        current_belief=prior_belief(model),
-        candidate_policy=policy,
+        observation_history=tuple(observations), current_belief=prior_belief(model)
     )
 
 
@@ -59,39 +55,27 @@ def test_query_requires_strictly_increasing_timestamps(assay):
         WorldModelQuery(observation_history=obs, current_belief=prior_belief(assay.model))
 
 
-def test_query_wire_format_carries_history_belief_policy(assay):
-    policy = assay.model.policy("measure_then_titrate")
-    query = query_for(
-        assay.model, Observation("indicatorColor", "yellow", 0), policy=policy
-    )
+def test_query_wire_format_carries_history_and_belief(assay):
+    query = query_for(assay.model, Observation("indicatorColor", "yellow", 0))
     doc = query_wire_format(query)
+    assert set(doc) == {"history", "belief"}
     assert doc["history"] == [{"channel": "indicatorColor", "outcome": "yellow", "t": 0}]
     assert doc["belief"]["labels"] == list(assay.model.states)
     assert doc["belief"]["probs"] == [0.85, 0.15, 0.0, 0.0]
-    assert doc["policy"] == {
-        "label": "measure_then_titrate",
-        "actions": ["measure_pH", "titrate_NaOH_careful"],
-    }
 
 
-def test_response_wire_format_round_trips_with_rollout(assay):
-    policy = assay.model.policy("measure_then_titrate")
+def test_response_wire_format_round_trips_ignoring_unknown_keys(assay):
     posterior = bayes_update(
         prior_belief(assay.model),
         assay.model.a.likelihood_column("indicatorColor", "yellow"),
     )
-    plan = rollout(assay.model, posterior, policy)
-    doc = response_wire_format(
-        WorldModelResponse(posterior.posterior, predicted_rollout=plan, rationale="why")
-    )
-    parsed = parse_response(json.loads(json.dumps(doc)), policy=policy)
+    doc = response_wire_format(WorldModelResponse(posterior.posterior, rationale="why"))
+    assert set(doc) == {"posterior", "rationale"}
+    # an endpoint may still send a rollout of its own; it is not read
+    doc["rollout"] = [{"states": {"ph_ok": 1.0}, "observations": {}}]
+    parsed = parse_response(json.loads(json.dumps(doc)))
     assert parsed.rationale == "why"
     assert parsed.proposed_posterior.allclose(posterior.posterior)
-    for mine, theirs in zip(plan.states, parsed.predicted_rollout.states):
-        assert np.allclose(mine, theirs)
-    for mine, theirs in zip(plan.observations, parsed.predicted_rollout.observations):
-        for channel in mine:
-            assert np.allclose(mine[channel].probs, theirs[channel].probs)
 
 
 def test_parse_response_rejects_missing_posterior():
@@ -136,24 +120,6 @@ def test_tabular_matches_direct_bayes_update(assay):
     assert np.array_equal(response.proposed_posterior.probs, direct.probs)
     assert response.proposed_posterior.prob("ph_acidic") == pytest.approx(0.9437086, abs=1e-6)
     assert response.rationale == "exact update on indicatorColor=yellow"
-    assert response.predicted_rollout is None
-
-
-def test_tabular_rollout_matches_planning(assay):
-    policy = assay.model.policy("measure_then_titrate")
-    obs = Observation("indicatorColor", "yellow", 0)
-    response = provider_response = TabularProvider(assay.model).infer(
-        query_for(assay.model, obs, policy=policy)
-    )
-    posterior = bayes_update(
-        prior_belief(assay.model),
-        assay.model.a.likelihood_column("indicatorColor", "yellow"),
-        obs=obs,
-    )
-    direct = rollout(assay.model, posterior, policy)
-    assert provider_response.predicted_rollout.policy.label == policy.label
-    for mine, theirs in zip(direct.states, response.predicted_rollout.states):
-        assert np.array_equal(mine, theirs)
 
 
 def test_tabular_rejects_empty_history(assay):
@@ -204,12 +170,14 @@ def test_tabular_refine_recalibrates_the_flagged_row(assay):
     assert summary.parameter == "A[indicatorColor][ph_acidic][yellow]"
     assert summary.old == pytest.approx(0.95)
     assert summary.new == pytest.approx(0.98)
-    after = assay.model.a.matrices["indicatorColor"]
+    after = provider.model.a.matrices["indicatorColor"]
     assert after[1, 0] == pytest.approx(0.98)
     assert after[1].sum() == pytest.approx(1.0)
     # untouched rows stay identical
     assert np.array_equal(after[0], before[0])
     assert np.array_equal(after[2], before[2])
+    # the model the provider was built with is left as it was
+    assert np.array_equal(assay.model.a.matrices["indicatorColor"], before)
 
 
 def test_tabular_refine_is_idempotent_per_trace(assay):
