@@ -23,6 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .dists import CategoricalDistribution
 from .errors import ModelValidationError, ProviderError, ShapeError
 from .inference import Belief, compute_vfe, surprise
@@ -290,14 +292,11 @@ class Agent:
         candidates = enumerate_policies(
             self.model, self.config.planning_horizon, self.config.max_candidates
         )
-        plans = []
-        table = []
-        for policy in candidates:
-            plan = rollout(self.model, posterior, policy)
-            plans.append(plan)
-            table.append(expected_free_energy(self.model, plan))
-            self.counter.efe_evaluations += 1
-            self.counter.rollout_steps += policy.horizon
+        plan = rollout(self.model, posterior, candidates)
+        table = expected_free_energy(self.model, plan)
+        vetoes = self._vetoes(plan)
+        self.counter.efe_evaluations += len(candidates)
+        self.counter.rollout_steps += len(plan.states)
         totals = [row.total for row in table]
         allowed = [True] * len(candidates)
         chosen = None
@@ -313,7 +312,7 @@ class Agent:
                     step=step_i,
                 )
             )
-            if not self._vetoes(plans[best]):
+            if not vetoes[best]:
                 chosen = best
                 break
             allowed[best] = False
@@ -344,21 +343,16 @@ class Agent:
         )
         return selected, marked
 
-    def _vetoes(self, plan) -> bool:
-        """Executive safety check on the would-be winner's rollout.
+    def _vetoes(self, plan) -> np.ndarray:
+        """Executive safety check: one flag per rolled-out candidate.
 
         A policy is rejected when any rollout step gives more than
         ``veto_probability`` to an outcome whose preference mass is at
         or below ``veto_outcome_mass`` (an effectively forbidden one).
         """
-        for channel, predicted in plan.outcomes.items():
-            c_mass = self.model.c.channel_priors[channel].probs
-            risky = (c_mass <= self.config.veto_outcome_mass) & (
-                predicted > self.config.veto_probability
-            )
-            if bool(risky.any()):
-                return True
-        return False
+        forbidden = self.model.stacked.c <= self.config.veto_outcome_mass
+        risky = ((plan.outcomes > self.config.veto_probability) & forbidden).any(axis=1)
+        return np.logical_or.reduceat(risky, plan.starts)
 
     def _remember_reading(self, obs: Observation) -> None:
         try:

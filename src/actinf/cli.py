@@ -43,16 +43,26 @@ def _seed_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _run_one(scenario: Scenario, provider, seed: int, max_steps: int):
-    agent = Agent(scenario.model, scenario.agent, provider, scenario.actions)
-    env = LabEnv(scenario.env, scenario.model.channels, seed=seed)
-    return run_episode(agent, env, max_steps=max_steps)
+def _run_one(scenario: Scenario, provider_ref: str, seed: int, max_steps: int):
+    """One episode on a provider of its own, closed when the episode ends.
+
+    Returns (provider name, result, ledger).
+    """
+    provider = build_provider(provider_ref, scenario)
+    try:
+        agent = Agent(scenario.model, scenario.agent, provider, scenario.actions)
+        env = LabEnv(scenario.env, scenario.model.channels, seed=seed)
+        result, ledger = run_episode(agent, env, max_steps=max_steps)
+    finally:
+        provider.close()
+    return provider.name, result, ledger
 
 
 def _cmd_run(args) -> int:
     scenario = resolve_scenario(args.scenario)
-    provider = build_provider(args.provider, scenario)
-    result, ledger = _run_one(scenario, provider, args.seed, args.max_steps)
+    provider_name, result, ledger = _run_one(
+        scenario, args.provider, args.seed, args.max_steps
+    )
     state = result.final_state
     print(
         f"outcome={result.outcome} steps={result.steps} "
@@ -66,7 +76,7 @@ def _cmd_run(args) -> int:
             result.events,
             scenario=scenario.name,
             seed=args.seed,
-            provider=provider.name,
+            provider=provider_name,
             path=args.trace,
         )
         print(f"trace -> {args.trace}")
@@ -96,8 +106,7 @@ def _cmd_sweep(args) -> int:
     first_policies: dict[str, int] = {}
     spills = 0
     for seed in range(lo, hi + 1):
-        provider = build_provider(args.provider, scenario)
-        result, _ = _run_one(scenario, provider, seed, args.max_steps)
+        _, result, _ = _run_one(scenario, args.provider, seed, args.max_steps)
         first = next((e.selected_policy for e in result.events if e.selected_policy), None)
         outcomes[result.outcome] = outcomes.get(result.outcome, 0) + 1
         if first is not None:

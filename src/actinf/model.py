@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -155,6 +156,27 @@ class Policy:
         return len(self.actions)
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+@dataclass(frozen=True)
+class StackedOutcomes:
+    """Every channel's outcome columns side by side, in channel order.
+
+    The batched planner scores all channels at once through these; a
+    model derives them once, on first use, and they are read-only.
+    """
+
+    starts: np.ndarray  # (C,) first column of each channel
+    channel: np.ndarray  # (O,) channel index of each column
+    a: np.ndarray  # (S, O) likelihoods
+    a_log_a: np.ndarray  # (S, C) sum over each channel's outcomes of A log A
+    c: np.ndarray  # (O,) preference mass
+    log_c: np.ndarray  # (O,) log-preferences
+
+
 @dataclass(frozen=True)
 class GenerativeModel:
     """Everything the agent believes about the task, in one bundle."""
@@ -167,6 +189,23 @@ class GenerativeModel:
     c: PreferenceModel
     d: CategoricalDistribution
     policies: tuple[Policy, ...] = ()
+
+    @cached_property
+    def stacked(self) -> StackedOutcomes:
+        """The planner's channel-stacked arrays; needs a validated model."""
+        sizes = [len(outcomes) for outcomes in self.channels.values()]
+        a = np.hstack([self.a.matrices[ch] for ch in self.channels])
+        # zero likelihoods add nothing; the EPS floor only guards the log
+        a_log_a = a * np.log(np.clip(a, EPS, None))
+        starts = np.cumsum([0] + sizes[:-1])
+        return StackedOutcomes(
+            starts=_frozen(starts),
+            channel=_frozen(np.repeat(np.arange(len(sizes)), sizes)),
+            a=_frozen(a),
+            a_log_a=_frozen(np.add.reduceat(a_log_a, starts, axis=1)),
+            c=_frozen(np.concatenate([self.c.channel_priors[ch].probs for ch in self.channels])),
+            log_c=_frozen(np.concatenate([self.c.log_prior(ch) for ch in self.channels])),
+        )
 
     def policy(self, label: str) -> Policy:
         for p in self.policies:

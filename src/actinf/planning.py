@@ -28,15 +28,18 @@ TIE_ATOL = 1e-9
 
 @dataclass(frozen=True)
 class Rollout:
-    """Predicted state and outcome probabilities along one policy.
+    """Predicted state and outcome probabilities of a candidate set.
 
-    ``states`` has one row per action, shape (H, S); ``outcomes`` maps
-    each channel to an (H, O) array whose rows are normalized.
+    ``states`` has one row per action of each policy in turn, shape
+    (sum of horizons, S); policy p's rows begin at ``starts[p]``.
+    ``outcomes`` has the same rows over ``model.stacked``'s columns,
+    every channel side by side, each channel's block normalized.
     """
 
-    policy: Policy
+    policies: tuple[Policy, ...]
+    starts: np.ndarray
     states: np.ndarray
-    outcomes: dict[str, np.ndarray]
+    outcomes: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -48,62 +51,64 @@ class EfeBreakdown:
     vetoed: bool = field(default=False, compare=False)
 
 
-def rollout(model: GenerativeModel, belief: Belief, policy: Policy) -> Rollout:
-    """Push the current belief through the policy's action sequence."""
+def rollout(
+    model: GenerativeModel, belief: Belief, policies: tuple[Policy, ...]
+) -> Rollout:
+    """Push the current belief through every policy's action sequence."""
     if belief.labels != model.states:
         raise ShapeError(f"belief labels {belief.labels} != states {model.states}")
-    probs = belief.probs
-    states = []
-    for action in policy.actions:
-        probs = model.b.push(probs, action)
-        states.append(probs)
-    states = np.array(states)
-    outcomes = {}
-    for channel in model.channels:
-        weights = [s @ model.a.matrices[channel] for s in states]
-        outcomes[channel] = np.array([w / float(w.sum()) for w in weights])
-    return Rollout(policy=policy, states=states, outcomes=outcomes)
+    if not policies:
+        raise NoCandidateError("rollout needs at least one candidate policy")
+    rows = []
+    for policy in policies:
+        probs = belief.probs
+        for action in policy.actions:
+            probs = model.b.push(probs, action)
+            rows.append(probs)
+    states = np.array(rows)
+    stacked = model.stacked
+    weights = states @ stacked.a
+    totals = np.add.reduceat(weights, stacked.starts, axis=1)
+    starts = np.cumsum([0] + [p.horizon for p in policies[:-1]])
+    return Rollout(
+        policies=tuple(policies),
+        starts=starts,
+        states=states,
+        outcomes=weights / totals[:, stacked.channel],
+    )
 
 
-def _mutual_information(state_probs: np.ndarray, a_matrix: np.ndarray) -> float:
-    """I(state; outcome) for one channel at one predicted step.
+def information_gain(model: GenerativeModel, plan: Rollout) -> np.ndarray:
+    """Expected belief sharpening from the observations each policy predicts.
 
-    Equals the predicted-outcome expectation of KL(Bayes posterior ||
-    state distribution), written joint-free for vectorization.
+    Per step and channel this is the mutual information
+    I(s; o) = sum_s q(s) sum_o A log A - sum_o q(o) log q(o), floored at
+    zero; zero probabilities add nothing.
     """
-    joint = state_probs[:, None] * a_matrix
-    q_o = joint.sum(axis=0)
-    log_ratio = np.log(np.clip(a_matrix, EPS, None)) - np.log(np.clip(q_o, EPS, None))[None, :]
-    return max(0.0, float(np.sum(np.where(joint > 0.0, joint * log_ratio, 0.0))))
+    q_o = plan.outcomes
+    stacked = model.stacked
+    outcome_term = np.add.reduceat(q_o * np.log(np.clip(q_o, EPS, None)), stacked.starts, axis=1)
+    per_step = np.maximum(plan.states @ stacked.a_log_a - outcome_term, 0.0)
+    return np.add.reduceat(per_step.sum(axis=1), plan.starts)
 
 
-def information_gain(model: GenerativeModel, plan: Rollout) -> float:
-    """Expected belief sharpening from the observations a policy predicts."""
-    total = 0.0
-    for state_probs in plan.states:
-        for channel in model.channels:
-            total += _mutual_information(state_probs, model.a.matrices[channel])
-    return total
+def pragmatic_value(model: GenerativeModel, plan: Rollout) -> np.ndarray:
+    """Expected log-preference of each policy's predicted outcomes."""
+    return np.add.reduceat(plan.outcomes @ model.stacked.log_c, plan.starts)
 
 
-def pragmatic_value(model: GenerativeModel, plan: Rollout) -> float:
-    """Expected log-preference of predicted outcomes, all steps and channels."""
-    total = 0.0
-    for step in range(len(plan.states)):
-        for channel, predicted in plan.outcomes.items():
-            total += float(np.sum(predicted[step] * model.c.log_prior(channel)))
-    return total
-
-
-def expected_free_energy(model: GenerativeModel, plan: Rollout) -> EfeBreakdown:
-    """Score one rolled-out policy."""
+def expected_free_energy(model: GenerativeModel, plan: Rollout) -> tuple[EfeBreakdown, ...]:
+    """Score every rolled-out policy; one table row per candidate."""
     epistemic = information_gain(model, plan)
     pragmatic = pragmatic_value(model, plan)
-    return EfeBreakdown(
-        policy=plan.policy.label,
-        epistemic=epistemic,
-        pragmatic=pragmatic,
-        total=-epistemic - pragmatic,
+    return tuple(
+        EfeBreakdown(
+            policy=policy.label,
+            epistemic=float(e),
+            pragmatic=float(g),
+            total=float(-e - g),
+        )
+        for policy, e, g in zip(plan.policies, epistemic, pragmatic)
     )
 
 
@@ -126,9 +131,7 @@ def select_policy(
     candidates: tuple[Policy, ...],
 ) -> tuple[Policy, tuple[EfeBreakdown, ...]]:
     """Score every candidate and take the argmin."""
-    if not candidates:
-        raise NoCandidateError("select_policy needs at least one candidate")
-    table = tuple(expected_free_energy(model, rollout(model, belief, p)) for p in candidates)
+    table = expected_free_energy(model, rollout(model, belief, candidates))
     best = argmin([row.total for row in table], [True] * len(table))
     return candidates[best], table
 

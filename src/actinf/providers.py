@@ -145,6 +145,9 @@ class WorldModelProvider(abc.ABC):
         """Learn from a finished episode; no local parameters here."""
         return ()
 
+    def close(self) -> None:
+        """Release what the provider holds open; nothing by default."""
+
 
 class TabularProvider(WorldModelProvider):
     """Exact Bayes over the scenario model: the reference engine.
@@ -264,7 +267,13 @@ class RemoteProvider(WorldModelProvider):
     def __init__(self, url: str, timeout: float = 10.0, session=None):
         self.url = url
         self.timeout = timeout
-        self.session = session or requests.Session()
+        # a caller's session is the caller's to close
+        self._owns_session = session is None
+        self.session = requests.Session() if session is None else session
+
+    def close(self) -> None:
+        if self._owns_session:
+            self.session.close()
 
     def infer(self, query: WorldModelQuery) -> WorldModelResponse:
         try:

@@ -23,10 +23,12 @@ from actinf.model import (
     PreferenceModel,
     TransitionModel,
 )
-from actinf.planning import enumerate_policies
+from actinf.planning import enumerate_policies, expected_free_energy, rollout
 from actinf.providers import TabularProvider, WorldModelProvider, WorldModelResponse
 from actinf.scenario import resolve_scenario
 from actinf.trace import TraceEvent
+
+from .oracles import efe_by_enumeration, random_model
 
 
 @pytest.fixture()
@@ -437,6 +439,47 @@ def test_each_replan_rolls_out_each_candidate_once(assay):
     _, event = agent.step(Observation("meter", "m0", 0))
     assert any(row.vetoed for row in event.efe_table)
     assert_one_rollout_per_candidate([event], model, config)
+
+
+def per_policy_veto(model, belief, policy, config):
+    """The executive's check on one policy, one step and channel at a time."""
+    probs = belief.probs
+    for action in policy.actions:
+        probs = probs @ model.b.matrix(action)
+        for channel, a in model.a.matrices.items():
+            w = probs @ a
+            predicted = w / w.sum()
+            c_mass = model.c.channel_priors[channel].probs
+            if ((c_mass <= config.veto_outcome_mass) & (predicted > config.veto_probability)).any():
+                return True
+    return False
+
+
+def test_mixed_horizon_table_and_vetoes_match_per_policy_checks():
+    rng = np.random.default_rng(3)
+    config = AgentConfig(veto_outcome_mass=0.3, veto_probability=0.4)
+    flags = set()
+    for _ in range(100):
+        model, belief = random_model(rng)
+        actions = {a: ActionSpec(a, "wait", next(iter(model.channels))) for a in model.actions}
+        agent = Agent(model, config, TabularProvider(model), actions)
+        candidates = tuple(
+            Policy(f"p{i}", tuple(str(a) for a in rng.choice(model.actions, size=h)))
+            for i, h in enumerate(rng.permutation([1, 2, 3]))
+        )
+        plan = rollout(model, belief, candidates)
+        table = expected_free_energy(model, plan)
+        vetoes = agent._vetoes(plan)
+        assert len(table) == len(vetoes) == len(candidates)
+        for policy, row, vetoed in zip(candidates, table, vetoes):
+            epistemic, pragmatic, total = efe_by_enumeration(model, belief, policy)
+            assert row.policy == policy.label
+            assert row.epistemic == pytest.approx(epistemic, abs=1e-9)
+            assert row.pragmatic == pytest.approx(pragmatic, abs=1e-9)
+            assert row.total == pytest.approx(total, abs=1e-9)
+            assert bool(vetoed) == per_policy_veto(model, belief, policy, config)
+            flags.add(bool(vetoed))
+    assert flags == {True, False}
 
 
 def test_replanning_only_on_error_bootstrap_or_exhaustion():

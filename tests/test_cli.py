@@ -179,3 +179,30 @@ def test_unreachable_remote_degrades_to_assistance(tmp_path, capsys):
     _, events = read_trace(str(trace))
     assert "unreachable" in events[0]["providerError"]
     assert events[0]["action"] == "ask_human"
+
+
+def test_every_provider_the_cli_builds_is_closed(monkeypatch):
+    closed = []
+
+    class Closing(TabularProvider):
+        def close(self):
+            closed.append(self)
+
+    class Crashing(Closing):
+        def infer(self, query):
+            raise RuntimeError("provider bug")
+
+    provider_class = Closing
+
+    def build(ref, scenario):
+        return provider_class(scenario.model)
+
+    monkeypatch.setattr("actinf.cli.build_provider", build)
+    assert main(["run", "--scenario", "lab_assay", "--seed", "42"]) == 0
+    assert main(["sweep", "--scenario", "lab_assay", "--seeds", "1..3"]) == 0
+    assert len(closed) == 4
+
+    provider_class = Crashing
+    with pytest.raises(RuntimeError, match="provider bug"):
+        main(["run", "--scenario", "lab_assay", "--seed", "42"])
+    assert len(closed) == 5

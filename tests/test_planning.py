@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from actinf.model import (
     ObservationModel,
     Policy,
     PreferenceModel,
+    StackedOutcomes,
     TransitionModel,
 )
 from actinf.planning import (
@@ -50,7 +52,7 @@ def two_state_model(a_rows, prefs=None, b_tensor=None, policies=()):
 def test_rollout_identity_dynamics_keeps_belief():
     model = two_state_model([[0.9, 0.1], [0.1, 0.9]])
     belief = Belief(normalize([0.3, 0.7], model.states))
-    plan = rollout(model, belief, Policy("p", ("go", "stay", "go")))
+    plan = rollout(model, belief, (Policy("p", ("go", "stay", "go")),))
     assert len(plan.states) == 3
     for s in plan.states:
         assert np.allclose(s, belief.probs, atol=1e-12)
@@ -62,62 +64,60 @@ def test_rollout_deterministic_step():
     b[1] = np.eye(2)
     model = two_state_model([[0.9, 0.1], [0.1, 0.9]], b_tensor=b)
     belief = Belief(delta(model.states, "s0"))
-    plan = rollout(model, belief, Policy("p", ("go",)))
+    plan = rollout(model, belief, (Policy("p", ("go",)),))
     assert np.allclose(plan.states[0], [0.0, 1.0], atol=1e-12)
     # observation distribution is the pushed state through A
-    assert plan.outcomes["obs"][0] == pytest.approx([0.1, 0.9])
+    assert plan.outcomes[0] == pytest.approx([0.1, 0.9])
 
 
 def test_rollout_rejects_foreign_belief():
     model = two_state_model([[0.9, 0.1], [0.1, 0.9]])
     with pytest.raises(ShapeError):
-        rollout(model, Belief(uniform(("x", "y"))), Policy("p", ("go",)))
+        rollout(model, Belief(uniform(("x", "y"))), (Policy("p", ("go",)),))
 
 
 def test_information_gain_symmetric_channel_value():
     # Uniform two-state prior, 90/10 likelihoods: one step of looking
     # is worth 0.3681 nats.
     model = two_state_model([[0.9, 0.1], [0.1, 0.9]])
-    plan = rollout(model, Belief(uniform(model.states)), Policy("p", ("stay",)))
-    assert information_gain(model, plan) == pytest.approx(0.36806420716849714, abs=1e-9)
+    plan = rollout(model, Belief(uniform(model.states)), (Policy("p", ("stay",)),))
+    assert information_gain(model, plan)[0] == pytest.approx(0.36806420716849714, abs=1e-9)
 
 
 def test_information_gain_zero_for_delta_states():
     model = two_state_model([[0.9, 0.1], [0.1, 0.9]])
-    plan = rollout(model, Belief(delta(model.states, "s1")), Policy("p", ("go", "go")))
-    assert information_gain(model, plan) == pytest.approx(0.0, abs=1e-12)
+    plan = rollout(model, Belief(delta(model.states, "s1")), (Policy("p", ("go", "go")),))
+    assert information_gain(model, plan)[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_information_gain_zero_for_uninformative_channel():
     model = two_state_model([[0.5, 0.5], [0.5, 0.5]])
-    plan = rollout(model, Belief(uniform(model.states)), Policy("p", ("go",)))
-    assert information_gain(model, plan) == pytest.approx(0.0, abs=1e-12)
+    plan = rollout(model, Belief(uniform(model.states)), (Policy("p", ("go",)),))
+    assert information_gain(model, plan)[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_information_gain_nonnegative_randomized():
     rng = np.random.default_rng(17)
     for _ in range(1000):
         model, belief = random_model(rng)
-        plan = rollout(model, belief, random_policy(rng, model))
-        assert information_gain(model, plan) >= 0.0
+        plan = rollout(model, belief, tuple(random_policy(rng, model) for _ in range(3)))
+        assert (information_gain(model, plan) >= 0.0).all()
 
 
 def test_pragmatic_value_uniform_preferences():
     model = two_state_model([[0.9, 0.1], [0.1, 0.9]])
-    plan = rollout(model, Belief(uniform(model.states)), Policy("p", ("go", "stay")))
-    assert pragmatic_value(model, plan) == pytest.approx(2 * math.log(0.5), abs=1e-12)
+    plan = rollout(model, Belief(uniform(model.states)), (Policy("p", ("go", "stay")),))
+    assert pragmatic_value(model, plan)[0] == pytest.approx(2 * math.log(0.5), abs=1e-12)
 
 
 def test_efe_delta_belief_uniform_preferences_all_tie():
     model = two_state_model([[0.9, 0.1], [0.1, 0.9]])
     belief = Belief(delta(model.states, "s0"))
     horizon = 2
-    totals = []
-    for policy in enumerate_policies(model, horizon=horizon, max_count=16):
-        bd = expected_free_energy(model, rollout(model, belief, policy))
-        assert bd.epistemic == pytest.approx(0.0, abs=1e-12)
-        totals.append(bd.total)
-    assert totals == pytest.approx([-horizon * math.log(0.5)] * 4, abs=1e-12)
+    candidates = enumerate_policies(model, horizon=horizon, max_count=16)
+    table = expected_free_energy(model, rollout(model, belief, candidates))
+    assert [bd.epistemic for bd in table] == pytest.approx([0.0] * 4, abs=1e-12)
+    assert [bd.total for bd in table] == pytest.approx([-horizon * math.log(0.5)] * 4, abs=1e-12)
 
 
 def test_select_policy_prefers_lower_total_and_breaks_ties_by_order():
@@ -225,8 +225,28 @@ def test_efe_matches_path_enumeration_oracle():
     for _ in range(200):
         model, belief = random_model(rng)
         policy = random_policy(rng, model)
-        bd = expected_free_energy(model, rollout(model, belief, policy))
+        (bd,) = expected_free_energy(model, rollout(model, belief, (policy,)))
         ig, pa, total = efe_by_enumeration(model, belief, policy)
         assert bd.epistemic == pytest.approx(ig, abs=1e-6)
         assert bd.pragmatic == pytest.approx(pa, abs=1e-6)
         assert bd.total == pytest.approx(total, abs=1e-6)
+
+
+def test_stacked_arrays_are_read_only_and_belong_to_their_model():
+    model = two_state_model([[0.9, 0.1], [0.1, 0.9]])
+    belief = Belief(uniform(model.states))
+    policies = (Policy("p", ("stay",)),)
+    (before,) = expected_free_energy(model, rollout(model, belief, policies))
+    for f in dataclasses.fields(StackedOutcomes):
+        assert getattr(model.stacked, f.name).flags.writeable is False, f.name
+
+    # the copy TabularProvider.refine makes scores with its own A
+    sharp = np.eye(2)
+    refined = dataclasses.replace(
+        model, a=dataclasses.replace(model.a, matrices={"obs": sharp})
+    )
+    assert np.array_equal(refined.stacked.a, sharp)
+    (after,) = expected_free_energy(refined, rollout(refined, belief, policies))
+    assert after.epistemic == pytest.approx(math.log(2), abs=1e-12)
+    assert before.epistemic == pytest.approx(0.36806420716849714, abs=1e-9)
+    assert np.array_equal(model.stacked.a, [[0.9, 0.1], [0.1, 0.9]])

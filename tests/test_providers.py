@@ -333,3 +333,22 @@ def test_remote_unreachable_is_a_provider_error(assay):
     provider = RemoteProvider("http://127.0.0.1:9/wm", timeout=0.2)
     with pytest.raises(ProviderError, match="unreachable"):
         provider.infer(query_for(assay.model, Observation("indicatorColor", "yellow", 0)))
+
+
+class _RecordingSession:
+    def __init__(self):
+        self.closed = False
+
+    def close(self):
+        self.closed = True
+
+
+def test_remote_close_closes_only_a_session_it_created(monkeypatch):
+    supplied = _RecordingSession()
+    RemoteProvider("http://127.0.0.1:9/wm", session=supplied).close()
+    assert not supplied.closed
+
+    monkeypatch.setattr("actinf.providers.requests.Session", _RecordingSession)
+    provider = RemoteProvider("http://127.0.0.1:9/wm")
+    provider.close()
+    assert provider.session.closed
