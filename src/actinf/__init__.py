@@ -17,7 +17,6 @@ from .errors import (
     ShapeError,
 )
 from .inference import (
-    Belief,
     VfeReport,
     bayes_update,
     compute_vfe,

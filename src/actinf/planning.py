@@ -17,9 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dists import EPS
+from .dists import EPS, CategoricalDistribution
 from .errors import NoCandidateError, ShapeError
-from .inference import Belief
 from .model import GenerativeModel, Policy
 
 # Totals closer than this are treated as ties, resolved by listing order.
@@ -52,7 +51,7 @@ class EfeBreakdown:
 
 
 def rollout(
-    model: GenerativeModel, belief: Belief, policies: tuple[Policy, ...]
+    model: GenerativeModel, belief: CategoricalDistribution, policies: tuple[Policy, ...]
 ) -> Rollout:
     """Push the current belief through every policy's action sequence."""
     if belief.labels != model.states:
@@ -127,7 +126,7 @@ def argmin(totals: list[float], allowed: list[bool]) -> int | None:
 
 def select_policy(
     model: GenerativeModel,
-    belief: Belief,
+    belief: CategoricalDistribution,
     candidates: tuple[Policy, ...],
 ) -> tuple[Policy, tuple[EfeBreakdown, ...]]:
     """Score every candidate and take the argmin."""

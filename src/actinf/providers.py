@@ -33,7 +33,7 @@ from .errors import (
     ReplayExhaustedError,
     ShapeError,
 )
-from .inference import Belief, bayes_update
+from .inference import bayes_update
 from .model import GenerativeModel
 
 
@@ -42,7 +42,7 @@ class WorldModelQuery:
     """Context shipped to a provider for one belief update."""
 
     observation_history: tuple
-    current_belief: Belief
+    current_belief: CategoricalDistribution
 
     def __post_init__(self):
         object.__setattr__(self, "observation_history", tuple(self.observation_history))
@@ -179,7 +179,7 @@ class TabularProvider(WorldModelProvider):
         except EngineError as exc:
             raise ProviderError(str(exc), payload=None) from exc
         return WorldModelResponse(
-            proposed_posterior=posterior.posterior,
+            proposed_posterior=posterior,
             rationale=f"exact update on {obs.channel}={obs.outcome}",
         )
 

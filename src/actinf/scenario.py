@@ -318,10 +318,6 @@ def load_scenario(path_or_text, name: str = "") -> Scenario:
         raise ScenarioError(f"{name}: [policies] must declare the {FALLBACK_POLICY!r} fallback")
     if agent.fallback_policy not in labels:
         raise ScenarioError(f"{name}: fallback policy {agent.fallback_policy!r} not declared")
-    for p in policies:
-        for a in p.actions:
-            if a not in actions:
-                raise ScenarioError(f"{name}: policy {p.label!r} uses unknown action {a!r}")
     if env.start_channel not in channels:
         raise ScenarioError(f"{name}: start channel {env.start_channel!r} not declared")
     return Scenario(name=name, model=model, env=env, actions=actions, agent=agent)

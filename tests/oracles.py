@@ -13,7 +13,6 @@ import math
 import numpy as np
 
 from actinf.dists import CategoricalDistribution, normalize
-from actinf.inference import Belief
 from actinf.model import (
     GenerativeModel,
     ObservationModel,
@@ -25,7 +24,9 @@ from actinf.model import (
 FLOOR = 1e-12
 
 
-def efe_by_enumeration(model: GenerativeModel, belief: Belief, policy: Policy):
+def efe_by_enumeration(
+    model: GenerativeModel, belief: CategoricalDistribution, policy: Policy
+):
     """(epistemic, pragmatic, total) via exhaustive path enumeration."""
     n = len(model.states)
     horizon = len(policy.actions)
@@ -61,7 +62,7 @@ def efe_by_enumeration(model: GenerativeModel, belief: Belief, policy: Policy):
     return epistemic, pragmatic, -epistemic - pragmatic
 
 
-def random_model(rng: np.random.Generator) -> tuple[GenerativeModel, Belief]:
+def random_model(rng: np.random.Generator) -> tuple[GenerativeModel, CategoricalDistribution]:
     """A small random generative model plus a random starting belief."""
     n_states = int(rng.integers(2, 5))
     n_actions = int(rng.integers(1, 4))
@@ -93,7 +94,7 @@ def random_model(rng: np.random.Generator) -> tuple[GenerativeModel, Belief]:
         c=PreferenceModel(entries=(), channel_priors=priors),
         d=d,
     )
-    belief = Belief(normalize(rng.random(n_states) + 1e-6, states))
+    belief = normalize(rng.random(n_states) + 1e-6, states)
     return model, belief
 
 

@@ -17,7 +17,7 @@ import pytest
 
 from actinf.agent import Agent, run_episode
 from actinf.dists import CategoricalDistribution, normalize, uniform
-from actinf.inference import Belief, bayes_update, compute_vfe, kl_divergence, surprise
+from actinf.inference import bayes_update, compute_vfe, kl_divergence, surprise
 from actinf.lab import LabEnv, Observation
 from actinf.model import Policy, PreferenceModel, TransitionModel
 from actinf.planning import TIE_ATOL, expected_free_energy, rollout, select_policy
@@ -83,10 +83,10 @@ def sweep100():
 
 def test_criterion_1_bayes_posterior_value_and_speed():
     with criterion(1, "yellow posterior 0.944 +/- 0.005, under 1 ms"):
-        prior = Belief(normalize([0.85, 0.15], ("ph_ok", "ph_acidic")))
+        prior = normalize([0.85, 0.15], ("ph_ok", "ph_acidic"))
         likelihood = np.array([0.01, 0.95])
         posterior = bayes_update(prior, likelihood)
-        assert posterior.posterior.prob("ph_acidic") == pytest.approx(0.944, abs=0.005)
+        assert posterior.prob("ph_acidic") == pytest.approx(0.944, abs=0.005)
 
         best = min(
             _timed(lambda: bayes_update(prior, likelihood)) for _ in range(200)
@@ -210,7 +210,7 @@ def test_criterion_7_property_suites():
             at = int(rng.integers(0, len(model.states)))
             probs = np.zeros(len(model.states))
             probs[at] = 1.0
-            belief = Belief(normalize(probs, model.states))
+            belief = normalize(probs, model.states)
             policy = random_policy(rng, frozen)
             (row,) = expected_free_energy(frozen, rollout(frozen, belief, (policy,)))
             assert abs(row.epistemic) < 1e-12
@@ -300,7 +300,7 @@ def test_criterion_10_provider_substitutability(golden_run):
         # recalibrated the run's own model copy
         scenario = resolve_scenario("lab_assay")
         model = scenario.model
-        belief = Belief(model.d)
+        belief = model.d
         for event in result.events:
             obs = event.observation
             column = model.a.likelihood_column(obs.channel, obs.outcome)
@@ -309,7 +309,7 @@ def test_criterion_10_provider_substitutability(golden_run):
             assert event.expected_surprise == float(predictive.entropy())
             posterior = bayes_update(belief, column, obs=obs)
             assert np.array_equal(event.belief.probs, posterior.probs)
-            vfe = compute_vfe(posterior.posterior, belief.posterior, column)
+            vfe = compute_vfe(posterior, belief, column)
             assert event.vfe == vfe
             if event.efe_table:
                 _, table = select_policy(model, posterior, model.policies)
@@ -317,10 +317,7 @@ def test_criterion_10_provider_substitutability(golden_run):
                     row.total for row in table
                 ]
             pushed = model.b.push(posterior.probs, event.action)
-            belief = Belief(
-                CategoricalDistribution(model.states, pushed),
-                timestamp=belief.timestamp + 1,
-            )
+            belief = CategoricalDistribution(model.states, pushed)
 
         # a scripted provider replaying the recorded responses reproduces
         # the golden trace event for event

@@ -9,6 +9,7 @@ from actinf.agent import Agent, run_episode
 from actinf.cli import build_provider, main
 from actinf.errors import ScenarioError
 from actinf.lab import LabEnv
+from actinf.model import validate_model
 from actinf.providers import RemoteProvider, ScriptedProvider, TabularProvider
 from actinf.scenario import resolve_scenario
 from actinf.trace import emit_trace, read_trace
@@ -98,6 +99,21 @@ def test_sweep_summary(tmp_path, capsys):
     assert summary["unsafeFirstSelections"] == 0
     assert summary["spillEpisodes"] == 0
     assert [row["seed"] for row in summary["perSeed"]] == [1, 2, 3, 4, 5]
+
+
+def test_sweep_validates_the_model_once(monkeypatch, capsys):
+    # the model is audited where it is loaded; agents take it as given
+    calls = []
+
+    def counting(model):
+        calls.append(model)
+        return validate_model(model)
+
+    for name in ("actinf.scenario.validate_model", "actinf.agent.validate_model"):
+        monkeypatch.setattr(name, counting)
+    assert main(["sweep", "--scenario", "lab_assay", "--seeds", "1..3"]) == 0
+    assert "3 episodes" in capsys.readouterr().out
+    assert len(calls) == 1
 
 
 def test_sweep_seeds_do_not_depend_on_earlier_seeds():

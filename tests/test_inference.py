@@ -5,7 +5,7 @@ import pytest
 
 from actinf.dists import CategoricalDistribution, delta, normalize, uniform
 from actinf.errors import ImpossibleObservationError, ShapeError
-from actinf.inference import Belief, VfeReport, bayes_update, compute_vfe, kl_divergence, surprise
+from actinf.inference import VfeReport, bayes_update, compute_vfe, kl_divergence, surprise
 
 
 def test_kl_hand_computed_value():
@@ -41,20 +41,19 @@ def test_kl_nonnegative_and_zero_iff_equal_randomized():
 
 
 def test_bayes_update_assay_posterior():
-    prior = Belief(normalize([0.85, 0.15], ["ph_ok", "ph_acidic"]), timestamp=0)
+    prior = normalize([0.85, 0.15], ["ph_ok", "ph_acidic"])
     post = bayes_update(prior, np.array([0.01, 0.95]))
-    assert post.posterior.prob("ph_acidic") == pytest.approx(0.9437086092715231, abs=1e-12)
-    assert post.timestamp == 1
+    assert post.prob("ph_acidic") == pytest.approx(0.9437086092715231, abs=1e-12)
 
 
 def test_bayes_update_impossible_observation():
-    prior = Belief(normalize([1.0, 0.0], ["a", "b"]))
+    prior = normalize([1.0, 0.0], ["a", "b"])
     with pytest.raises(ImpossibleObservationError):
         bayes_update(prior, np.array([0.0, 0.9]))
 
 
 def test_bayes_update_shape_check():
-    prior = Belief(uniform(["a", "b"]))
+    prior = uniform(["a", "b"])
     with pytest.raises(ShapeError):
         bayes_update(prior, np.array([0.1, 0.2, 0.3]))
 
@@ -62,7 +61,7 @@ def test_bayes_update_shape_check():
 def test_bayes_update_uniform_likelihood_keeps_prior():
     rng = np.random.default_rng(3)
     for _ in range(200):
-        prior = Belief(normalize(rng.random(4) + 1e-9, ["a", "b", "c", "d"]))
+        prior = normalize(rng.random(4) + 1e-9, ["a", "b", "c", "d"])
         post = bayes_update(prior, np.full(4, 0.25))
         assert np.allclose(post.probs, prior.probs, atol=1e-12)
 
@@ -80,10 +79,10 @@ def test_vfe_equals_surprise_at_exact_posterior():
     rng = np.random.default_rng(23)
     labels = ["s0", "s1", "s2"]
     for _ in range(500):
-        prior = Belief(normalize(rng.random(3) + 1e-6, labels))
+        prior = normalize(rng.random(3) + 1e-6, labels)
         lik = rng.random(3) * 0.98 + 0.01
         post = bayes_update(prior, lik)
-        report = compute_vfe(post.posterior, prior.posterior, lik)
+        report = compute_vfe(post, prior, lik)
         evidence = float(np.sum(prior.probs * lik))
         assert report.total == pytest.approx(-math.log(evidence), abs=1e-8)
         assert report.total == pytest.approx(report.complexity - report.accuracy, abs=1e-12)
@@ -100,8 +99,8 @@ def test_assay_yellow_observation_spikes_vfe():
     prior = normalize([0.85, 0.15], ["ph_ok", "ph_acidic"])
     baseline = prior.entropy()
     lik = np.array([0.01, 0.95])
-    post = bayes_update(Belief(prior), lik)
-    report = compute_vfe(post.posterior, prior, lik)
+    post = bayes_update(prior, lik)
+    report = compute_vfe(post, prior, lik)
     assert report.total > 4.0 * baseline
     assert report.total == pytest.approx(1.8904754421672127, abs=1e-9)
 

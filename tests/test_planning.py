@@ -6,7 +6,6 @@ import pytest
 
 from actinf.dists import delta, normalize, uniform
 from actinf.errors import NoCandidateError, ShapeError
-from actinf.inference import Belief
 from actinf.model import (
     GenerativeModel,
     ObservationModel,
@@ -51,7 +50,7 @@ def two_state_model(a_rows, prefs=None, b_tensor=None, policies=()):
 
 def test_rollout_identity_dynamics_keeps_belief():
     model = two_state_model([[0.9, 0.1], [0.1, 0.9]])
-    belief = Belief(normalize([0.3, 0.7], model.states))
+    belief = normalize([0.3, 0.7], model.states)
     plan = rollout(model, belief, (Policy("p", ("go", "stay", "go")),))
     assert len(plan.states) == 3
     for s in plan.states:
@@ -63,7 +62,7 @@ def test_rollout_deterministic_step():
     b[0] = [[0.0, 1.0], [0.0, 1.0]]  # "go" drives everything to s1
     b[1] = np.eye(2)
     model = two_state_model([[0.9, 0.1], [0.1, 0.9]], b_tensor=b)
-    belief = Belief(delta(model.states, "s0"))
+    belief = delta(model.states, "s0")
     plan = rollout(model, belief, (Policy("p", ("go",)),))
     assert np.allclose(plan.states[0], [0.0, 1.0], atol=1e-12)
     # observation distribution is the pushed state through A
@@ -73,26 +72,26 @@ def test_rollout_deterministic_step():
 def test_rollout_rejects_foreign_belief():
     model = two_state_model([[0.9, 0.1], [0.1, 0.9]])
     with pytest.raises(ShapeError):
-        rollout(model, Belief(uniform(("x", "y"))), (Policy("p", ("go",)),))
+        rollout(model, uniform(("x", "y")), (Policy("p", ("go",)),))
 
 
 def test_information_gain_symmetric_channel_value():
     # Uniform two-state prior, 90/10 likelihoods: one step of looking
     # is worth 0.3681 nats.
     model = two_state_model([[0.9, 0.1], [0.1, 0.9]])
-    plan = rollout(model, Belief(uniform(model.states)), (Policy("p", ("stay",)),))
+    plan = rollout(model, uniform(model.states), (Policy("p", ("stay",)),))
     assert information_gain(model, plan)[0] == pytest.approx(0.36806420716849714, abs=1e-9)
 
 
 def test_information_gain_zero_for_delta_states():
     model = two_state_model([[0.9, 0.1], [0.1, 0.9]])
-    plan = rollout(model, Belief(delta(model.states, "s1")), (Policy("p", ("go", "go")),))
+    plan = rollout(model, delta(model.states, "s1"), (Policy("p", ("go", "go")),))
     assert information_gain(model, plan)[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_information_gain_zero_for_uninformative_channel():
     model = two_state_model([[0.5, 0.5], [0.5, 0.5]])
-    plan = rollout(model, Belief(uniform(model.states)), (Policy("p", ("go",)),))
+    plan = rollout(model, uniform(model.states), (Policy("p", ("go",)),))
     assert information_gain(model, plan)[0] == pytest.approx(0.0, abs=1e-12)
 
 
@@ -106,13 +105,13 @@ def test_information_gain_nonnegative_randomized():
 
 def test_pragmatic_value_uniform_preferences():
     model = two_state_model([[0.9, 0.1], [0.1, 0.9]])
-    plan = rollout(model, Belief(uniform(model.states)), (Policy("p", ("go", "stay")),))
+    plan = rollout(model, uniform(model.states), (Policy("p", ("go", "stay")),))
     assert pragmatic_value(model, plan)[0] == pytest.approx(2 * math.log(0.5), abs=1e-12)
 
 
 def test_efe_delta_belief_uniform_preferences_all_tie():
     model = two_state_model([[0.9, 0.1], [0.1, 0.9]])
-    belief = Belief(delta(model.states, "s0"))
+    belief = delta(model.states, "s0")
     horizon = 2
     candidates = enumerate_policies(model, horizon=horizon, max_count=16)
     table = expected_free_energy(model, rollout(model, belief, candidates))
@@ -122,7 +121,7 @@ def test_efe_delta_belief_uniform_preferences_all_tie():
 
 def test_select_policy_prefers_lower_total_and_breaks_ties_by_order():
     model = two_state_model([[0.9, 0.1], [0.1, 0.9]])
-    belief = Belief(uniform(model.states))
+    belief = uniform(model.states)
     candidates = (Policy("first", ("go",)), Policy("second", ("stay",)))
     chosen, table = select_policy(model, belief, candidates)
     # identity dynamics either way: exact tie, first listed wins
@@ -144,7 +143,7 @@ def test_select_policy_argmin_matches_table():
 def test_select_policy_rejects_empty():
     model = two_state_model([[0.9, 0.1], [0.1, 0.9]])
     with pytest.raises(NoCandidateError):
-        select_policy(model, Belief(uniform(model.states)), ())
+        select_policy(model, uniform(model.states), ())
 
 
 def test_preference_shift_invariance():
@@ -234,7 +233,7 @@ def test_efe_matches_path_enumeration_oracle():
 
 def test_stacked_arrays_are_read_only_and_belong_to_their_model():
     model = two_state_model([[0.9, 0.1], [0.1, 0.9]])
-    belief = Belief(uniform(model.states))
+    belief = uniform(model.states)
     policies = (Policy("p", ("stay",)),)
     (before,) = expected_free_energy(model, rollout(model, belief, policies))
     for f in dataclasses.fields(StackedOutcomes):

@@ -11,7 +11,7 @@ import pytest
 from actinf.agent import Message
 from actinf.dists import normalize
 from actinf.errors import ProviderError, ReplayExhaustedError, ShapeError
-from actinf.inference import Belief, VfeReport, bayes_update
+from actinf.inference import VfeReport, bayes_update
 from actinf.lab import Observation
 from actinf.providers import (
     RemoteProvider,
@@ -36,13 +36,9 @@ def assay():
     return resolve_scenario("lab_assay")
 
 
-def prior_belief(model):
-    return Belief(model.d, timestamp=0)
-
-
 def query_for(model, *observations):
     return WorldModelQuery(
-        observation_history=tuple(observations), current_belief=prior_belief(model)
+        observation_history=tuple(observations), current_belief=model.d
     )
 
 
@@ -52,7 +48,7 @@ def query_for(model, *observations):
 def test_query_requires_strictly_increasing_timestamps(assay):
     obs = (Observation("indicatorColor", "yellow", 1), Observation("phProbe", "6.2", 1))
     with pytest.raises(ShapeError, match="strictly increase"):
-        WorldModelQuery(observation_history=obs, current_belief=prior_belief(assay.model))
+        WorldModelQuery(observation_history=obs, current_belief=assay.model.d)
 
 
 def test_query_wire_format_carries_history_and_belief(assay):
@@ -66,16 +62,16 @@ def test_query_wire_format_carries_history_and_belief(assay):
 
 def test_response_wire_format_round_trips_ignoring_unknown_keys(assay):
     posterior = bayes_update(
-        prior_belief(assay.model),
+        assay.model.d,
         assay.model.a.likelihood_column("indicatorColor", "yellow"),
     )
-    doc = response_wire_format(WorldModelResponse(posterior.posterior, rationale="why"))
+    doc = response_wire_format(WorldModelResponse(posterior, rationale="why"))
     assert set(doc) == {"posterior", "rationale"}
     # an endpoint may still send a rollout of its own; it is not read
     doc["rollout"] = [{"states": {"ph_ok": 1.0}, "observations": {}}]
     parsed = parse_response(json.loads(json.dumps(doc)))
     assert parsed.rationale == "why"
-    assert parsed.proposed_posterior.allclose(posterior.posterior)
+    assert parsed.proposed_posterior.allclose(posterior)
 
 
 def test_parse_response_rejects_missing_posterior():
@@ -112,7 +108,7 @@ def test_tabular_matches_direct_bayes_update(assay):
     obs = Observation("indicatorColor", "yellow", 0)
     response = provider.infer(query_for(assay.model, obs))
     direct = bayes_update(
-        prior_belief(assay.model),
+        assay.model.d,
         assay.model.a.likelihood_column("indicatorColor", "yellow"),
         obs=obs,
     )
