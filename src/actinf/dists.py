@@ -7,6 +7,7 @@ floor of ``EPS`` substituted for zeros first.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,7 +37,7 @@ class CategoricalDistribution:
 
     Raises ``ShapeError`` when labels and probabilities disagree and
     ``DegenerateDistributionError`` when the vector does not sum to one
-    within ``NORM_ATOL`` or contains negative mass.
+    within ``NORM_ATOL`` or contains negative or non-finite mass.
     """
 
     labels: tuple[str, ...]
@@ -57,6 +58,9 @@ class CategoricalDistribution:
         if np.any(arr < 0):
             raise DegenerateDistributionError(f"negative mass in {arr}")
         total = float(arr.sum())
+        # the sum is NaN or infinite exactly when some entry is (or overflows)
+        if not math.isfinite(total):
+            raise DegenerateDistributionError(f"non-finite mass in {arr}")
         if abs(total - 1.0) > NORM_ATOL:
             raise DegenerateDistributionError(
                 f"probabilities sum to {total!r}, expected 1.0 +/- {NORM_ATOL}"

@@ -231,12 +231,25 @@ class ValidationReport:
 
 
 def _check_row(out: list, path: str, row: np.ndarray) -> None:
-    if np.any(row < 0) or np.any(row > 1):
+    # written so that NaN fails both checks
+    if not np.all((row >= 0) & (row <= 1)):
         out.append((path, f"entries outside [0, 1]: {row.tolist()}"))
         return
     total = float(row.sum())
-    if abs(total - 1.0) > NORM_ATOL:
+    if not abs(total - 1.0) <= NORM_ATOL:
         out.append((path, f"row sums to {total!r}, expected 1.0 +/- {NORM_ATOL}"))
+
+
+def _suspect_rows(m: np.ndarray) -> np.ndarray:
+    """Indices of the rows of ``m`` (last axis) that ``_check_row`` may flag.
+
+    One pass over the whole array. The sum test is twice as strict as
+    ``_check_row``'s, so a last-bit difference between a batched and a
+    single-row sum cannot hide a bad row; ``_check_row`` has the last
+    word on every suspect.
+    """
+    ok = ((m >= 0) & (m <= 1)).all(axis=-1) & (np.abs(m.sum(axis=-1) - 1.0) <= NORM_ATOL / 2)
+    return np.argwhere(~ok)
 
 
 def validate_model(model: GenerativeModel) -> ValidationReport:
@@ -259,13 +272,12 @@ def validate_model(model: GenerativeModel) -> ValidationReport:
         if m is None:
             v.append((f"a.{channel}", "missing likelihood matrix"))
             continue
-        for i, state in enumerate(model.states):
-            _check_row(v, f"a.{channel}.{state}", m[i])
+        for (i,) in _suspect_rows(m):
+            _check_row(v, f"a.{channel}.{model.states[i]}", m[i])
 
-    for action in model.actions:
-        m = model.b.matrix(action)
-        for i, state in enumerate(model.states):
-            _check_row(v, f"b.{action}.{state}", m[i])
+    # (action, state) pairs in row-major order: action by action
+    for a, i in _suspect_rows(model.b.tensor):
+        _check_row(v, f"b.{model.actions[a]}.{model.states[i]}", model.b.tensor[a, i])
 
     if model.d.labels != model.states:
         v.append(("d", f"prior labels {model.d.labels} != states {model.states}"))

@@ -23,7 +23,6 @@ import json
 from dataclasses import dataclass, replace
 
 import numpy as np
-import requests
 
 from .dists import CategoricalDistribution
 from .errors import (
@@ -269,7 +268,12 @@ class RemoteProvider(WorldModelProvider):
         self.timeout = timeout
         # a caller's session is the caller's to close
         self._owns_session = session is None
-        self.session = requests.Session() if session is None else session
+        if session is None:
+            # the HTTP stack is imported only by a provider that needs it
+            import requests
+
+            session = requests.Session()
+        self.session = session
 
     def close(self) -> None:
         if self._owns_session:
@@ -280,7 +284,7 @@ class RemoteProvider(WorldModelProvider):
             http = self.session.post(
                 self.url, json=query_wire_format(query), timeout=self.timeout
             )
-        except requests.RequestException as exc:
+        except OSError as exc:  # requests.RequestException subclasses OSError
             raise ProviderError(f"remote provider unreachable: {exc}", payload=None) from exc
         if http.status_code != 200:
             raise ProviderError(

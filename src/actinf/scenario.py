@@ -24,7 +24,7 @@ import numpy as np
 
 from .agent import AgentConfig
 from .dists import CategoricalDistribution
-from .errors import ScenarioError
+from .errors import DegenerateDistributionError, ScenarioError
 from .lab import ActionSpec, EnvSpec, PRIMITIVES
 from .model import (
     GenerativeModel,
@@ -54,45 +54,53 @@ class Scenario:
     agent: AgentConfig
 
 
-def _phi(x: float) -> float:
-    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+def _phi(z: np.ndarray) -> np.ndarray:
+    """Standard normal CDF at each z (numpy has no erf; math.erf runs per element)."""
+    erf = np.array(list(map(math.erf, (z / math.sqrt(2.0)).tolist())))
+    return 0.5 * (1.0 + erf)
 
 
 def discretized_gaussian(values: np.ndarray, mu: float, sigma: float) -> np.ndarray:
-    """Normal mass per bin; edge bins absorb their open tail."""
-    if sigma <= 0:
+    """Normal mass per bin; edge bins absorb their open tail.
+
+    Bin i spans c_i +/- width/2; the lower edge of bin i + 1 and the
+    upper edge of bin i are computed apart, in that order of operations,
+    so that every bit matches a bin-by-bin evaluation.
+    """
+    if not sigma > 0:
         raise ScenarioError(f"gauss needs sigma > 0, got {sigma}")
+    values = np.asarray(values, dtype=float)
     width = float(values[1] - values[0]) if len(values) > 1 else 1.0
-    out = np.zeros(len(values))
-    for i, c in enumerate(values):
-        lo = -math.inf if i == 0 else (c - width / 2 - mu) / sigma
-        hi = math.inf if i == len(values) - 1 else (c + width / 2 - mu) / sigma
-        out[i] = (_phi(hi) if hi < math.inf else 1.0) - (_phi(lo) if lo > -math.inf else 0.0)
-    return out
+    upper = np.append(_phi((values[:-1] + width / 2 - mu) / sigma), 1.0)
+    lower = np.append(0.0, _phi((values[1:] - width / 2 - mu) / sigma))
+    return upper - lower
 
 
-def _numeric_values(channel: str, outcomes: tuple[str, ...]) -> np.ndarray:
+def _numeric_grid(owner: str, outcomes: tuple[str, ...]) -> np.ndarray | str:
+    """The outcomes as an evenly spaced number grid, or why they are not one."""
     try:
         values = np.array([float(o) for o in outcomes])
     except ValueError:
-        raise ScenarioError(f"channel {channel!r} has non-numeric outcomes") from None
+        return f"{owner} has non-numeric outcomes"
     steps = np.diff(values)
     if len(steps) and not np.allclose(steps, steps[0], atol=1e-9):
-        raise ScenarioError(f"channel {channel!r}: outcome grid must be evenly spaced")
+        return f"{owner}: outcome grid must be evenly spaced"
     return values
 
 
 class _Doc:
-    """Thin wrapper giving parse errors a section/key address."""
+    """The required sections, each read once, and section/key-addressed errors."""
 
     def __init__(self, parser: configparser.ConfigParser, name: str):
-        self.parser = parser
         self.name = name
+        self.sections: dict[str, dict[str, str]] = {}
+        for section in REQUIRED_SECTIONS:
+            if not parser.has_section(section):
+                raise ScenarioError(f"{name}: missing [{section}] section")
+            self.sections[section] = dict(parser.items(section))
 
     def section(self, name: str) -> dict[str, str]:
-        if not self.parser.has_section(name):
-            raise ScenarioError(f"{self.name}: missing [{name}] section")
-        return dict(self.parser.items(name))
+        return self.sections[name]
 
     def fail(self, section: str, key: str, message: str):
         raise ScenarioError(f"{self.name}: [{section}] {key}: {message}")
@@ -107,31 +115,46 @@ def _parse_labels(doc: _Doc, section: str, key: str, raw: str) -> tuple[str, ...
     return labels
 
 
+def _decimals(x: float) -> int:
+    """The fewest decimals (at most 9) that write x to within 1e-9."""
+    d = 0
+    while d < 9 and abs(round(x, d) - x) > 1e-9:
+        d += 1
+    return d
+
+
 def _parse_channel(doc: _Doc, key: str, raw: str) -> tuple[str, ...]:
     parts = raw.split()
     if parts and parts[0] == "span":
-        if len(parts) not in (4, 5) or (len(parts) == 5 and parts[4] != "int"):
+        well_formed = len(parts) == 4 or (len(parts) == 5 and parts[4] == "int")
+        try:
+            lo, hi, step = (float(p) for p in parts[1:4])
+        except ValueError:
+            lo = hi = step = math.nan
+        if not (well_formed and math.isfinite(lo) and lo <= hi < math.inf and 0 < step < math.inf):
             doc.fail("channels", key, f"bad span spec {raw!r}")
-        lo, hi, step = (float(p) for p in parts[1:4])
         values = np.arange(lo, hi + step / 2, step)
         if parts[-1] == "int":
             return tuple(str(int(round(v))) for v in values)
-        decimals = max(0, -int(math.floor(math.log10(step) + 1e-9)))
+        decimals = max(_decimals(lo), _decimals(step))
         return tuple(f"{v:.{decimals}f}" for v in values)
     return _parse_labels(doc, "channels", key, raw)
 
 
 def _parse_row(doc: _Doc, section: str, key: str, raw: str, outcomes: tuple[str, ...],
-               values: np.ndarray | None) -> np.ndarray:
+               grid: np.ndarray | str) -> np.ndarray:
+    """One matrix row; ``grid`` is the outcomes' number grid or why there is none."""
     parts = raw.split()
+    if not parts:
+        doc.fail(section, key, f"empty row, expected {len(outcomes)} entries")
     if parts[0] == "gauss":
-        if values is None:
-            values = _numeric_values(key, outcomes)
+        if isinstance(grid, str):
+            doc.fail(section, key, f"gauss needs a number grid: {grid}")
         try:
             mu, sigma = float(parts[1]), float(parts[2])
         except (IndexError, ValueError):
             doc.fail(section, key, f"bad gauss spec {raw!r}")
-        return discretized_gaussian(values, mu, sigma)
+        return discretized_gaussian(grid, mu, sigma)
     if parts[0] == "uniform":
         return np.full(len(outcomes), 1.0 / len(outcomes))
     try:
@@ -144,7 +167,7 @@ def _parse_row(doc: _Doc, section: str, key: str, raw: str, outcomes: tuple[str,
 
 
 def _parse_predicate(doc: _Doc, key: str, raw: str, channel: str,
-                     outcomes: tuple[str, ...]) -> tuple[str, ...]:
+                     outcomes: tuple[str, ...], grid: np.ndarray | str) -> tuple[str, ...]:
     parts = raw.split()
     if not parts:
         return ()
@@ -152,10 +175,11 @@ def _parse_predicate(doc: _Doc, key: str, raw: str, channel: str,
         if len(parts) != 2:
             doc.fail("C", key, f"bad predicate {raw!r}")
         bound = float(parts[1])
-        values = _numeric_values(channel, outcomes)
+        if isinstance(grid, str):
+            doc.fail("C", key, f"{parts[0]} needs a number grid: {grid}")
         op = {"ge": np.greater_equal, "gt": np.greater,
               "le": np.less_equal, "lt": np.less}[parts[0]]
-        return tuple(o for o, v in zip(outcomes, values) if op(v, bound))
+        return tuple(o for o, keep in zip(outcomes, op(grid, bound)) if keep)
     for label in parts:
         if label not in outcomes:
             doc.fail("C", key, f"unknown outcome {label!r} on channel {channel!r}")
@@ -199,19 +223,12 @@ def load_scenario(path_or_text, name: str = "") -> Scenario:
         raise ScenarioError(f"{name}: {exc}") from exc
     doc = _Doc(parser, name)
 
-    for section in REQUIRED_SECTIONS:
-        doc.section(section)
-
     states = _parse_labels(doc, "states", "labels", doc.section("states").get("labels", ""))
     channels = {
         key: _parse_channel(doc, key, raw) for key, raw in doc.section("channels").items()
     }
-    grids = {}
-    for ch, outcomes in channels.items():
-        try:
-            grids[ch] = _numeric_values(ch, outcomes)
-        except ScenarioError:
-            grids[ch] = None
+    grids = {ch: _numeric_grid(f"channel {ch!r}", outcomes) for ch, outcomes in channels.items()}
+    state_grid = _numeric_grid("[states]", states)
 
     # [actions]
     actions_raw = doc.section("actions")
@@ -258,7 +275,7 @@ def load_scenario(path_or_text, name: str = "") -> Scenario:
             if b_raw[key].strip() == "absorb":
                 tensor[ai, si, si] = 1.0
             else:
-                tensor[ai, si] = _parse_row(doc, "B", key, b_raw[key], states, None)
+                tensor[ai, si] = _parse_row(doc, "B", key, b_raw[key], states, state_grid)
 
     # [C]
     c_raw = doc.section("C")
@@ -281,16 +298,21 @@ def load_scenario(path_or_text, name: str = "") -> Scenario:
             channel=channel,
             weight=weight,
             prefer=_parse_predicate(doc, f"{entry}.prefer", c_raw.get(f"{entry}.prefer", ""),
-                                    channel, channels[channel]),
+                                    channel, channels[channel], grids[channel]),
             avoid=_parse_predicate(doc, f"{entry}.avoid", c_raw.get(f"{entry}.avoid", ""),
-                                   channel, channels[channel]),
+                                   channel, channels[channel], grids[channel]),
         ))
 
     # [D]
     d_raw = doc.section("D")
     if "initial" not in d_raw:
         doc.fail("D", "initial", "missing initial state prior")
-    d = CategoricalDistribution(states, _parse_row(doc, "D", "initial", d_raw["initial"], states, None))
+    try:
+        d = CategoricalDistribution(
+            states, _parse_row(doc, "D", "initial", d_raw["initial"], states, state_grid)
+        )
+    except DegenerateDistributionError as exc:
+        doc.fail("D", "initial", str(exc))
 
     # [policies] (declaration order is candidate order)
     policies = tuple(

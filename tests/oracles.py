@@ -102,3 +102,22 @@ def random_policy(rng: np.random.Generator, model: GenerativeModel) -> Policy:
     horizon = int(rng.integers(1, 3))
     actions = tuple(str(rng.choice(model.actions)) for _ in range(horizon))
     return Policy(label="-".join(actions), actions=actions)
+
+
+def discretized_gaussian_by_bins(values: np.ndarray, mu: float, sigma: float) -> np.ndarray:
+    """Normal mass per bin, one bin at a time in scalar arithmetic.
+
+    Edge bins absorb their open tails. The bitwise reference for
+    ``actinf.scenario.discretized_gaussian``.
+    """
+
+    def phi(x):
+        return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+
+    width = float(values[1] - values[0]) if len(values) > 1 else 1.0
+    out = np.zeros(len(values))
+    for i, c in enumerate(values):
+        lo = -math.inf if i == 0 else (c - width / 2 - mu) / sigma
+        hi = math.inf if i == len(values) - 1 else (c + width / 2 - mu) / sigma
+        out[i] = (phi(hi) if hi < math.inf else 1.0) - (phi(lo) if lo > -math.inf else 0.0)
+    return out

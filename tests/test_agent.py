@@ -1,6 +1,7 @@
 """Control-loop behavior: stepping, vetoes, fallbacks, refinement."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -24,7 +25,12 @@ from actinf.model import (
     TransitionModel,
 )
 from actinf.planning import enumerate_policies, expected_free_energy, rollout
-from actinf.providers import TabularProvider, WorldModelProvider, WorldModelResponse
+from actinf.providers import (
+    TabularProvider,
+    WorldModelProvider,
+    WorldModelResponse,
+    parse_response,
+)
 from actinf.scenario import resolve_scenario
 from actinf.trace import TraceEvent
 
@@ -318,7 +324,15 @@ class WrongLabelsProvider(WorldModelProvider):
         return WorldModelResponse(normalize([1.0], ("elsewhere",)))
 
 
-@pytest.mark.parametrize("provider_cls", [FailingProvider, WrongLabelsProvider])
+class NanPosteriorProvider(WorldModelProvider):
+    name = "nan-posterior"
+
+    def infer(self, query):
+        labels = list(query.current_belief.labels)
+        return parse_response({"posterior": {"labels": labels, "probs": [math.nan, 1.0, 0.0, 0.0]}})
+
+
+@pytest.mark.parametrize("provider_cls", [FailingProvider, WrongLabelsProvider, NanPosteriorProvider])
 def test_provider_failure_triggers_the_assistance_fallback(assay, provider_cls):
     agent, result, _ = assay_episode(assay, provider=provider_cls())
     assert result.outcome == "handed_off"

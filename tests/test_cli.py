@@ -11,7 +11,7 @@ from actinf.errors import ScenarioError
 from actinf.lab import LabEnv
 from actinf.model import validate_model
 from actinf.providers import RemoteProvider, ScriptedProvider, TabularProvider
-from actinf.scenario import resolve_scenario
+from actinf.scenario import builtin_scenario_path, resolve_scenario
 from actinf.trace import emit_trace, read_trace
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -63,6 +63,17 @@ def test_validate_broken_scenario_exits_1(tmp_path, capsys):
     path.write_text(BROKEN_SCENARIO, encoding="utf-8")
     assert main(["validate", "--scenario", str(path)]) == 1
     assert "missing" in capsys.readouterr().err
+
+
+def test_validate_rejects_a_nan_likelihood_row(tmp_path, capsys):
+    text = pathlib.Path(builtin_scenario_path("lab_assay")).read_text(encoding="utf-8")
+    path = tmp_path / "nan_row.ini"
+    path.write_text(text.replace("indicatorColor.ph_ok = 0.01 0.97 0.02",
+                                 "indicatorColor.ph_ok = nan 0.5 0.5"), encoding="utf-8")
+    assert main(["validate", "--scenario", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "OK" not in captured.out
+    assert "a.indicatorColor.ph_ok: entries outside [0, 1]" in captured.err
 
 
 def test_missing_scenario_file_exits_1(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -136,3 +137,40 @@ def test_transition_push():
 def test_policy_requires_actions():
     with pytest.raises(ShapeError):
         Policy("empty", ())
+
+
+def test_validate_reports_every_broken_row_in_order():
+    model = make_assay_like_model()
+    channels = {"indicatorColor": ("yellow", "green", "blue"), "spill": ("no", "yes")}
+    matrices = {
+        "indicatorColor": np.array([[1.2, -0.1, -0.1], [0.5, 0.4, 0.0]]),
+        # off by 1.5e-9 (flagged) and by 0.5e-9 (within tolerance)
+        "spill": np.array([[0.9, 0.1 + 1.5e-9], [0.7, 0.3 + 0.5e-9]]),
+    }
+    tensor = np.array([[[0.5, 0.4], [0.0, 1.0]], [[0.97, 0.03], [-0.2, 1.2]]])
+    broken = dataclasses.replace(
+        model,
+        channels=channels,
+        a=ObservationModel(states=model.states, channels=channels, matrices=matrices),
+        b=TransitionModel(states=model.states, actions=model.actions, tensor=tensor),
+    )
+    assert validate_model(broken).violations == (
+        ("a.indicatorColor.ph_ok", "entries outside [0, 1]: [1.2, -0.1, -0.1]"),
+        ("a.indicatorColor.ph_acidic", "row sums to 0.9, expected 1.0 +/- 1e-09"),
+        ("a.spill.ph_ok", "row sums to 1.0000000015000001, expected 1.0 +/- 1e-09"),
+        ("b.measure_pH.ph_ok", "row sums to 0.9, expected 1.0 +/- 1e-09"),
+        ("b.titrate_NaOH_careful.ph_acidic", "entries outside [0, 1]: [-0.2, 1.2]"),
+        ("c.spill", "missing channel prior"),
+    )
+
+
+@pytest.mark.parametrize("row", [[math.nan, 0.5, 0.5], [math.inf, 0.0, 0.0]])
+def test_validate_flags_non_finite_rows(row):
+    model = make_assay_like_model()
+    matrices = {"indicatorColor": np.array([row, [0.95, 0.04, 0.01]])}
+    broken = dataclasses.replace(
+        model, a=ObservationModel(states=model.states, channels=model.channels, matrices=matrices)
+    )
+    (path, message), = validate_model(broken).violations
+    assert path == "a.indicatorColor.ph_ok"
+    assert message.startswith("entries outside [0, 1]")

@@ -1,13 +1,17 @@
 """World-model provider contract tests: tabular, scripted, remote."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
 
+import actinf
 from actinf.agent import Message
 from actinf.dists import normalize
 from actinf.errors import ProviderError, ReplayExhaustedError, ShapeError
@@ -86,6 +90,12 @@ def test_parse_response_never_renormalizes():
         parse_response(doc)
     # the offending payload is preserved untouched for the trace
     assert err.value.payload["posterior"]["probs"] == [0.45, 0.45]
+
+
+def test_parse_response_rejects_a_nan_posterior():
+    doc = json.loads('{"posterior": {"labels": ["a", "b"], "probs": [NaN, 1.0]}}')
+    with pytest.raises(ProviderError, match="invalid posterior: non-finite"):
+        parse_response(doc)
 
 
 def test_parse_response_rejects_garbled_probs():
@@ -344,7 +354,19 @@ def test_remote_close_closes_only_a_session_it_created(monkeypatch):
     RemoteProvider("http://127.0.0.1:9/wm", session=supplied).close()
     assert not supplied.closed
 
-    monkeypatch.setattr("actinf.providers.requests.Session", _RecordingSession)
+    monkeypatch.setattr("requests.Session", _RecordingSession)
     provider = RemoteProvider("http://127.0.0.1:9/wm")
     provider.close()
     assert provider.session.closed
+
+
+def test_import_loads_the_http_stack_only_for_a_remote_provider():
+    code = (
+        "import sys, actinf; print('requests' in sys.modules); "
+        "actinf.RemoteProvider('http://127.0.0.1:9/wm').close(); print('requests' in sys.modules)"
+    )
+    src = pathlib.Path(actinf.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=60)
+    assert done.stdout.split() == ["False", "True"]

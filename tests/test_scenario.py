@@ -15,6 +15,9 @@ from actinf.scenario import (
     save_scenario,
 )
 
+from .channels import standard_channels
+from .oracles import discretized_gaussian_by_bins
+
 MINIMAL = """\
 [states]
 labels = ok bad
@@ -148,7 +151,7 @@ def test_bad_gauss_spec_is_addressed():
 
 def test_gauss_on_textual_channel_is_rejected():
     broken = MINIMAL.replace("indicator.ok = 0.9 0.1", "indicator.ok = gauss 7.4 0.2")
-    with pytest.raises(ScenarioError, match="non-numeric"):
+    with pytest.raises(ScenarioError, match=r"\[A\] indicator.ok: .*channel 'indicator' has non-numeric"):
         load_scenario(broken)
 
 
@@ -265,3 +268,80 @@ def test_resolve_bundled_and_unknown_names():
 def test_missing_file_path_is_reported():
     with pytest.raises(ScenarioError, match="cannot read scenario"):
         load_scenario("/no/such/place.ini")
+
+
+def assay_text() -> str:
+    with open(builtin_scenario_path("lab_assay"), encoding="utf-8") as fh:
+        return fh.read()
+
+
+def replaced(text: str, old: str, new: str) -> str:
+    assert text.count(old) == 1, old
+    return text.replace(old, new)
+
+
+def test_discretized_gaussian_matches_the_bin_by_bin_oracle():
+    rng = np.random.default_rng(2026)
+    grids = [np.arange(15.0, 75.25, 0.5), np.arange(5.5, 8.55, 0.1), np.array([3.0])]
+    for _ in range(300):
+        n = int(rng.choice([1, 2, int(rng.integers(3, 130))]))
+        grids.append(rng.uniform(-50, 50) + rng.uniform(1e-3, 10) * np.arange(n))
+    for values in grids:
+        lo, hi = values[0], values[-1]
+        spread = hi - lo + 1.0
+        # means inside the grid and beyond either end
+        for mu in (rng.uniform(lo, hi), lo - rng.uniform(0, spread), hi + rng.uniform(0, spread)):
+            sigma = float(rng.uniform(1e-3, 2.0) * spread)
+            got = discretized_gaussian(values, mu, sigma)
+            want = discretized_gaussian_by_bins(values, mu, sigma)
+            assert got.tobytes() == want.tobytes(), (values, mu, sigma)
+
+
+def test_assay_span_labels_are_unchanged(assay):
+    assert {ch: assay.model.channels[ch] for ch in standard_channels()} == standard_channels()
+
+
+@pytest.mark.parametrize("spec", ["span 5.5 8.5 -0.1", "span 8.5 5.5 0.1", "span 5.5 8.5 0",
+                                  "span 5.5 8.5 x", "span 5.5 8.5"])
+def test_bad_span_is_addressed(spec):
+    broken = replaced(assay_text(), "phProbe = span 5.5 8.5 0.1", f"phProbe = {spec}")
+    with pytest.raises(ScenarioError, match=r"\[channels\] phProbe: bad span spec"):
+        load_scenario(broken)
+
+
+def test_span_decimals_follow_both_start_and_step():
+    numeric = (
+        MINIMAL.replace("indicator = fine odd", "indicator = span 0 1 0.25")
+        .replace("indicator.ok = 0.9 0.1", "indicator.ok = gauss 0.25 0.1")
+        .replace("indicator.bad = 0.2 0.8", "indicator.bad = gauss 0.75 0.1")
+        .replace("calm.prefer = fine", "calm.prefer = le 0.5")
+        .replace("calm.avoid = odd", "calm.avoid = 1.00")
+    )
+    scenario = load_scenario(numeric)
+    assert scenario.model.channels["indicator"] == ("0.00", "0.25", "0.50", "0.75", "1.00")
+    assert scenario.model.c.entries[0].prefer == ("0.00", "0.25", "0.50")
+    # a whole step and a fractional start
+    halves = (
+        MINIMAL.replace("indicator = fine odd", "indicator = span 0.5 2 1")
+        .replace("calm.prefer = fine", "calm.prefer = 0.5")
+        .replace("calm.avoid = odd", "calm.avoid = 1.5")
+    )
+    assert load_scenario(halves).model.channels["indicator"] == ("0.5", "1.5")
+
+
+@pytest.mark.parametrize("section, line", [
+    ("A", "indicatorColor.ph_ok = 0.01 0.97 0.02"),
+    ("B", "titrate_NaOH_careful.ph_ok = 0.99 0.01 0 0"),
+    ("D", "initial = 0.85 0.15 0 0"),
+])
+def test_empty_row_is_addressed(section, line):
+    key = line.split(" = ")[0]
+    broken = replaced(assay_text(), line, f"{key} =")
+    with pytest.raises(ScenarioError, match=rf"\[{section}\] {key}: empty row"):
+        load_scenario(broken)
+
+
+def test_nan_state_prior_is_addressed():
+    broken = replaced(assay_text(), "initial = 0.85 0.15 0 0", "initial = 0.85 nan 0 0")
+    with pytest.raises(ScenarioError, match=r"\[D\] initial: non-finite mass"):
+        load_scenario(broken)
