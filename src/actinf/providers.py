@@ -258,40 +258,123 @@ def save_script(responses, path: str) -> None:
             fh.write(json.dumps(response_wire_format(response)) + "\n")
 
 
+def _split_url(url: str, what: str):
+    """``urlsplit`` of an http(s) URL with a host and a readable port."""
+    from urllib.parse import urlsplit
+
+    try:
+        parts = urlsplit(url)
+        parts.port  # an unreadable port raises here
+    except ValueError as exc:
+        raise ProviderError(f"bad {what} URL {url!r}: {exc}", payload=None) from exc
+    if parts.scheme not in ("http", "https") or not parts.hostname:
+        raise ProviderError(
+            f"bad {what} URL {url!r}: expected http(s)://host[:port]/path", payload=None
+        )
+    return parts
+
+
+def _basic_auth(parts) -> str | None:
+    """The Basic credentials a URL carries, as a header value, or None."""
+    if parts.username is None:
+        return None
+    import base64
+    from urllib.parse import unquote
+
+    pair = f"{unquote(parts.username)}:{unquote(parts.password or '')}"
+    return "Basic " + base64.b64encode(pair.encode("latin-1")).decode("ascii")
+
+
+def _is_dropped(sock) -> bool:
+    """True when an idle keep-alive socket is readable: the peer closed it.
+
+    ``poll`` where there is one: ``select.select`` fails on fds >= 1024.
+    """
+    import select
+
+    if hasattr(select, "poll"):
+        poller = select.poll()
+        poller.register(sock, select.POLLIN)
+        return bool(poller.poll(0))
+    return bool(select.select([sock], [], [], 0)[0])
+
+
 class RemoteProvider(WorldModelProvider):
-    """Speaks the HTTP wire contract: one POST per belief update."""
+    """Speaks the HTTP wire contract: one POST per belief update.
+
+    Every request of a provider goes over one keep-alive connection,
+    opened on the first ``infer`` and reopened only after a failure or
+    when the server has closed it while idle. The environment's proxies
+    (``http_proxy``, ``https_proxy``, ``no_proxy``) are read once, here.
+    An https endpoint is verified against the system CA store. Redirects
+    are not followed, so a 3xx is a provider error like any other status
+    but 200.
+    """
 
     name = "remote"
 
-    def __init__(self, url: str, timeout: float = 10.0, session=None):
-        self.url = url
-        self.timeout = timeout
-        # a caller's session is the caller's to close
-        self._owns_session = session is None
-        if session is None:
-            # the HTTP stack is imported only by a provider that needs it
-            import requests
+    def __init__(self, url: str, timeout: float = 10.0):
+        # the HTTP stack is imported only by a provider that needs it
+        import http.client
+        import urllib.request
 
-            session = requests.Session()
-        self.session = session
+        self.url = url
+        parts = _split_url(url, "remote")
+        hostport = parts.netloc.rpartition("@")[2]
+        self._target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+        self._headers = {"Content-Type": "application/json"}
+        auth = _basic_auth(parts)
+        if auth:
+            self._headers["Authorization"] = auth
+        self._failures = (OSError, http.client.HTTPException)
+
+        plain, tls = http.client.HTTPConnection, http.client.HTTPSConnection
+        proxy = None
+        if not urllib.request.proxy_bypass(hostport):
+            proxy = urllib.request.getproxies().get(parts.scheme)
+        if not proxy:
+            cls = tls if parts.scheme == "https" else plain
+            self._conn = cls(parts.hostname, parts.port, timeout=timeout)
+            return
+        via = _split_url(proxy if "://" in proxy else f"http://{proxy}", "proxy")
+        proxy_auth = _basic_auth(via)
+        if parts.scheme == "https":
+            # CONNECT through the proxy, then TLS end to end
+            self._conn = tls(via.hostname, via.port, timeout=timeout)
+            tunnel_headers = {"Proxy-Authorization": proxy_auth} if proxy_auth else None
+            self._conn.set_tunnel(parts.hostname, parts.port, headers=tunnel_headers)
+            return
+        # plain http goes to the proxy with the absolute URL as the target
+        cls = tls if via.scheme == "https" else plain
+        self._conn = cls(via.hostname, via.port, timeout=timeout)
+        self._target = f"http://{hostport}{self._target}"
+        if proxy_auth:
+            self._headers["Proxy-Authorization"] = proxy_auth
 
     def close(self) -> None:
-        if self._owns_session:
-            self.session.close()
+        self._conn.close()
 
     def infer(self, query: WorldModelQuery) -> WorldModelResponse:
+        body = json.dumps(query_wire_format(query)).encode("utf-8")
+        conn = self._conn
         try:
-            http = self.session.post(
-                self.url, json=query_wire_format(query), timeout=self.timeout
-            )
-        except OSError as exc:  # requests.RequestException subclasses OSError
+            if conn.sock is not None and _is_dropped(conn.sock):
+                conn.close()  # http.client reopens it; this is not a retry
+            conn.request("POST", self._target, body, self._headers)
+            reply = conn.getresponse()
+            status, raw = reply.status, reply.read()  # the whole body keeps it reusable
+        except self._failures as exc:
+            conn.close()
             raise ProviderError(f"remote provider unreachable: {exc}", payload=None) from exc
-        if http.status_code != 200:
+        if status != 200:
             raise ProviderError(
-                f"remote provider returned HTTP {http.status_code}", payload=http.text
+                f"remote provider returned HTTP {status}",
+                payload=raw.decode("utf-8", "replace"),
             )
         try:
-            doc = http.json()
+            doc = json.loads(raw)  # detects UTF-8, -16 and -32
         except ValueError as exc:
-            raise ProviderError("remote provider sent non-JSON", payload=http.text) from exc
+            raise ProviderError(
+                "remote provider sent non-JSON", payload=raw.decode("utf-8", "replace")
+            ) from exc
         return parse_response(doc)

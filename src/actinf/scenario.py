@@ -174,7 +174,12 @@ def _parse_predicate(doc: _Doc, key: str, raw: str, channel: str,
     if parts[0] in ("ge", "gt", "le", "lt"):
         if len(parts) != 2:
             doc.fail("C", key, f"bad predicate {raw!r}")
-        bound = float(parts[1])
+        try:
+            bound = float(parts[1])
+        except ValueError:
+            bound = math.nan
+        if math.isnan(bound):
+            doc.fail("C", key, f"bad predicate {raw!r}: {parts[1]!r} is not a number")
         if isinstance(grid, str):
             doc.fail("C", key, f"{parts[0]} needs a number grid: {grid}")
         op = {"ge": np.greater_equal, "gt": np.greater,
@@ -292,7 +297,9 @@ def load_scenario(path_or_text, name: str = "") -> Scenario:
         try:
             weight = float(c_raw.get(f"{entry}.weight", ""))
         except ValueError:
-            doc.fail("C", f"{entry}.weight", "expected a number")
+            weight = math.nan
+        if not math.isfinite(weight):
+            doc.fail("C", f"{entry}.weight", "expected a finite number")
         entries.append(PreferenceEntry(
             name=entry,
             channel=channel,

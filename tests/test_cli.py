@@ -76,6 +76,25 @@ def test_validate_rejects_a_nan_likelihood_row(tmp_path, capsys):
     assert "a.indicatorColor.ph_ok: entries outside [0, 1]" in captured.err
 
 
+@pytest.mark.parametrize("line, broken, address", [
+    ("enzyme_integrity.prefer = ge 90", "enzyme_integrity.prefer = ge ninety",
+     "[C] enzyme_integrity.prefer: bad predicate 'ge ninety'"),
+    ("containment_safety.weight = 0.95", "containment_safety.weight = nan",
+     "[C] containment_safety.weight: expected a finite number"),
+    ("containment_safety.weight = 0.95", "containment_safety.weight = inf",
+     "[C] containment_safety.weight: expected a finite number"),
+])
+def test_validate_addresses_a_bad_preference_entry(tmp_path, capsys, line, broken, address):
+    text = pathlib.Path(builtin_scenario_path("lab_assay")).read_text(encoding="utf-8")
+    assert text.count(line) == 1
+    path = tmp_path / "bad_preference.ini"
+    path.write_text(text.replace(line, broken), encoding="utf-8")
+    assert main(["validate", "--scenario", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "OK" not in captured.out
+    assert address in captured.err
+
+
 def test_missing_scenario_file_exits_1(capsys):
     assert main(["run", "--scenario", "/no/such.ini", "--seed", "1"]) == 1
     assert "cannot read scenario" in capsys.readouterr().err
@@ -206,6 +225,20 @@ def test_unreachable_remote_degrades_to_assistance(tmp_path, capsys):
     _, events = read_trace(str(trace))
     assert "unreachable" in events[0]["providerError"]
     assert events[0]["action"] == "ask_human"
+
+
+@pytest.mark.parametrize("url", ["localhost:9", "ftp://x/wm"])
+def test_malformed_remote_url_is_rejected_before_the_episode(tmp_path, capsys, url):
+    trace = tmp_path / "t.jsonl"
+    code = main([
+        "run", "--scenario", "lab_assay", "--seed", "42",
+        "--provider", f"remote:{url}", "--trace", str(trace),
+    ])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "outcome=" not in captured.out
+    assert f"bad remote URL {url!r}" in captured.err
+    assert not trace.exists()
 
 
 def test_every_provider_the_cli_builds_is_closed(monkeypatch):
