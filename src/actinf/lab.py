@@ -12,6 +12,7 @@ outcome label of their channel.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -130,20 +131,10 @@ class LabEnv:
         self.spec = spec
         self.channels = channels
         self._bins = {
-            name: self._parse_bins(name, outcomes) for name, outcomes in channels.items()
+            name: _parse_bins(name, tuple(outcomes)) for name, outcomes in channels.items()
         }
         self._injected_rng = rng
         self.reset(seed)
-
-    @staticmethod
-    def _parse_bins(name: str, outcomes: tuple[str, ...]) -> np.ndarray | None:
-        try:
-            values = np.array([float(o) for o in outcomes])
-        except ValueError:
-            return None
-        if np.any(np.diff(values) <= 0):
-            raise ScenarioError(f"channel {name!r}: numeric outcomes must increase")
-        return values
 
     def reset(self, seed: int = 0) -> LabState:
         self.rng = self._injected_rng or np.random.default_rng(seed)
@@ -294,6 +285,23 @@ class LabEnv:
     @property
     def is_terminal(self) -> bool:
         return self._outcome is not None
+
+
+@functools.lru_cache(maxsize=64)
+def _parse_bins(name: str, outcomes: tuple[str, ...]) -> np.ndarray | None:
+    """A channel's outcomes as read-only numbers, or None if one is not a number.
+
+    Memoised: every episode of a sweep builds its environment from the
+    same channels.
+    """
+    try:
+        values = np.array([float(o) for o in outcomes])
+    except ValueError:
+        return None
+    if np.any(np.diff(values) <= 0):
+        raise ScenarioError(f"channel {name!r}: numeric outcomes must increase")
+    values.flags.writeable = False
+    return values
 
 
 def _snake(name: str) -> str:

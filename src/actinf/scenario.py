@@ -11,11 +11,23 @@ hand-edited files compact:
     uniform               equal mass over the channel's outcomes
     identity / absorb     transition rows that keep the state put
     ge 90 / lt 90 ...     numeric outcome predicates in [C]
+
+The document grammar is line-based and deliberately small:
+
+    [section]             a header, alone on its line
+    key = value           split at the first '='; both sides stripped,
+                          the value may be empty
+    # or ; ...            a comment, on its own line only
+                          (a ';' after a value is part of the value)
+
+Blank lines are skipped. Everything else is rejected with a
+``<name>: line N:`` address: a duplicate section, a duplicate key in a
+section, a key before any section, a line without '=', a ':' delimiter,
+an indented (continuation) line and text after a section header.
 """
 
 from __future__ import annotations
 
-import configparser
 import io
 import math
 from dataclasses import dataclass, fields
@@ -76,14 +88,64 @@ def discretized_gaussian(values: np.ndarray, mu: float, sigma: float) -> np.ndar
     return upper - lower
 
 
-def _numeric_grid(owner: str, outcomes: tuple[str, ...]) -> np.ndarray | str:
-    """The outcomes as an evenly spaced number grid, or why they are not one."""
+def read_sections(text: str, name: str) -> dict[str, dict[str, str]]:
+    """The document as ``{section: {key: value}}`` in file order (grammar above)."""
+    sections: dict[str, dict[str, str]] = {}
+    current: dict[str, str] | None = None
+    for number, line in enumerate(text.split("\n"), start=1):
+        stripped = line.strip()
+        if not stripped or stripped[0] in "#;":
+            continue
+        if line[0].isspace():
+            problem = "indented line (continuation lines are not supported)"
+        elif stripped[0] == "[":
+            title = stripped[1:-1]
+            if stripped[-1] != "]":
+                problem = ("text after section header" if "]" in stripped
+                           else "unclosed section header")
+            elif not title:
+                problem = "empty section name"
+            elif title in sections:
+                problem = f"duplicate section [{title}]"
+            else:
+                current = sections[title] = {}
+                continue
+        elif current is None:
+            problem = "key before any section"
+        else:
+            key, eq, value = stripped.partition("=")
+            key = key.strip()
+            if ":" in key:
+                problem = "':' delimiter, expected 'key = value'"
+            elif not eq:
+                problem = "expected 'key = value'"
+            elif not key:
+                problem = "empty key"
+            elif key in current:
+                problem = f"duplicate key {key!r}"
+            else:
+                current[key] = value.strip()
+                continue
+        raise ScenarioError(f"{name}: line {number}: {problem}")
+    return sections
+
+
+def _numeric_grid(doc: _Doc, section: str, key: str, owner: str,
+                  outcomes: tuple[str, ...]) -> np.ndarray | str:
+    """The outcomes as an evenly spaced number grid, or why they are not one.
+
+    Numbers that do not strictly increase are no grid of any kind (the
+    environment snaps readings onto a channel's grid), so they fail at
+    ``[section] key``.
+    """
     try:
         values = np.array([float(o) for o in outcomes])
     except ValueError:
         return f"{owner} has non-numeric outcomes"
     steps = np.diff(values)
-    if len(steps) and not np.allclose(steps, steps[0], atol=1e-9):
+    if not np.all(steps > 0):
+        doc.fail(section, key, "numeric outcomes must increase")
+    if len(steps) and not np.allclose(steps, steps[0], rtol=0, atol=1e-9):
         return f"{owner}: outcome grid must be evenly spaced"
     return values
 
@@ -91,13 +153,12 @@ def _numeric_grid(owner: str, outcomes: tuple[str, ...]) -> np.ndarray | str:
 class _Doc:
     """The required sections, each read once, and section/key-addressed errors."""
 
-    def __init__(self, parser: configparser.ConfigParser, name: str):
+    def __init__(self, sections: dict[str, dict[str, str]], name: str):
         self.name = name
-        self.sections: dict[str, dict[str, str]] = {}
+        self.sections = sections
         for section in REQUIRED_SECTIONS:
-            if not parser.has_section(section):
+            if section not in sections:
                 raise ScenarioError(f"{name}: missing [{section}] section")
-            self.sections[section] = dict(parser.items(section))
 
     def section(self, name: str) -> dict[str, str]:
         return self.sections[name]
@@ -209,8 +270,6 @@ def load_scenario(path_or_text, name: str = "") -> Scenario:
     section/key address for malformed content, and with the full
     validation report when the generative model is inconsistent.
     """
-    parser = configparser.ConfigParser(interpolation=None, strict=True)
-    parser.optionxform = str
     text = str(path_or_text)
     if "\n" not in text and text.endswith(".ini"):
         try:
@@ -222,18 +281,17 @@ def load_scenario(path_or_text, name: str = "") -> Scenario:
     else:
         content = text
         name = name or "inline"
-    try:
-        parser.read_string(content)
-    except configparser.Error as exc:
-        raise ScenarioError(f"{name}: {exc}") from exc
-    doc = _Doc(parser, name)
+    doc = _Doc(read_sections(content, name), name)
 
     states = _parse_labels(doc, "states", "labels", doc.section("states").get("labels", ""))
     channels = {
         key: _parse_channel(doc, key, raw) for key, raw in doc.section("channels").items()
     }
-    grids = {ch: _numeric_grid(f"channel {ch!r}", outcomes) for ch, outcomes in channels.items()}
-    state_grid = _numeric_grid("[states]", states)
+    grids = {
+        ch: _numeric_grid(doc, "channels", ch, f"channel {ch!r}", outcomes)
+        for ch, outcomes in channels.items()
+    }
+    state_grid = _numeric_grid(doc, "states", "labels", "[states]", states)
 
     # [actions]
     actions_raw = doc.section("actions")
@@ -257,12 +315,17 @@ def load_scenario(path_or_text, name: str = "") -> Scenario:
     a_raw = doc.section("A")
     matrices = {}
     for ch, outcomes in channels.items():
+        # a row spec often repeats within a channel: parse each text once
+        parsed: dict[str, np.ndarray] = {}
         rows = []
         for state in states:
             key = f"{ch}.{state}"
             if key not in a_raw:
                 doc.fail("A", key, "missing likelihood row")
-            rows.append(_parse_row(doc, "A", key, a_raw[key], outcomes, grids[ch]))
+            raw = a_raw[key]
+            if raw not in parsed:
+                parsed[raw] = _parse_row(doc, "A", key, raw, outcomes, grids[ch])
+            rows.append(parsed[raw])
         matrices[ch] = np.stack(rows)
 
     # [B]

@@ -7,6 +7,7 @@ shares no code path with the vectorized engine implementation.
 
 from __future__ import annotations
 
+import configparser
 import itertools
 import math
 
@@ -121,3 +122,16 @@ def discretized_gaussian_by_bins(values: np.ndarray, mu: float, sigma: float) ->
         hi = math.inf if i == len(values) - 1 else (c + width / 2 - mu) / sigma
         out[i] = (phi(hi) if hi < math.inf else 1.0) - (phi(lo) if lo > -math.inf else 0.0)
     return out
+
+
+def sections_by_configparser(text: str) -> dict[str, dict[str, str]]:
+    """``{section: {key: value}}`` as the standard library reads the document.
+
+    Strict, without interpolation and with case-preserved keys: the
+    reference for ``actinf.scenario.read_sections`` on documents inside
+    its grammar. Raises ``configparser.Error`` where the library rejects.
+    """
+    parser = configparser.ConfigParser(interpolation=None, strict=True)
+    parser.optionxform = str
+    parser.read_string(text)
+    return {section: dict(parser.items(section)) for section in parser.sections()}

@@ -95,6 +95,22 @@ def test_validate_addresses_a_bad_preference_entry(tmp_path, capsys, line, broke
     assert address in captured.err
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_decreasing_numeric_channel_fails_validate_as_run_does(tmp_path, capsys, command):
+    text = pathlib.Path(builtin_scenario_path("lab_assay")).read_text(encoding="utf-8")
+    for line, broken in [("spillDetector = negative positive", "spillDetector = 1 0"),
+                         ("containment_safety.prefer = negative", "containment_safety.prefer = 1"),
+                         ("containment_safety.avoid = positive", "containment_safety.avoid = 0")]:
+        assert text.count(line) == 1
+        text = text.replace(line, broken)
+    path = tmp_path / "descending.ini"
+    path.write_text(text, encoding="utf-8")
+    assert main([command, "--scenario", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "OK" not in captured.out
+    assert "descending: [channels] spillDetector: numeric outcomes must increase" in captured.err
+
+
 def test_missing_scenario_file_exits_1(capsys):
     assert main(["run", "--scenario", "/no/such.ini", "--seed", "1"]) == 1
     assert "cannot read scenario" in capsys.readouterr().err

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from actinf.errors import ShapeError
+from actinf.errors import ScenarioError, ShapeError
 from actinf.lab import EnvSpec, ExecutedAction, LabEnv, indicator_color
 
 from .channels import standard_channels
@@ -30,6 +30,22 @@ def test_indicator_bands():
     assert indicator_color(8.2) == "blue"
     assert indicator_color(7.0) == "green"
     assert indicator_color(8.0) == "green"
+
+
+def test_numeric_channels_must_increase_outside_a_scenario():
+    channels = {**standard_channels(), "tempProbe": ("30.0", "20.0")}
+    for _ in range(2):  # a failure is not memoised away
+        with pytest.raises(ScenarioError, match="channel 'tempProbe': numeric outcomes must increase"):
+            LabEnv(EnvSpec(), channels)
+
+
+def test_bins_are_parsed_once_and_read_only():
+    first, second = make_env(seed=1), make_env(seed=2)
+    assert first._bins["indicatorColor"] is None
+    assert first._bins["phProbe"] is second._bins["phProbe"]
+    assert first._bins["phProbe"][0] == 5.5
+    with pytest.raises(ValueError, match="read-only"):
+        first._bins["phProbe"][0] = 0.0
 
 
 def test_initial_observation_is_yellow():

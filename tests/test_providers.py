@@ -520,7 +520,7 @@ def test_remote_episode_traces_as_the_tabular_one(tmp_path, capsys, stub):
 def test_import_loads_the_http_stack_only_for_a_remote_provider(stub):
     code = (
         "import sys, actinf\n"
-        "print([m for m in ('requests', 'http.client') if m in sys.modules])\n"
+        "print([m for m in ('requests', 'http.client', 'configparser') if m in sys.modules])\n"
         "sys.modules['requests'] = None  # any import of it now fails\n"
         "from actinf.cli import main\n"
         f"sys.exit(main(['run', '--scenario', 'lab_assay', '--seed', '42',"

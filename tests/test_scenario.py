@@ -1,6 +1,9 @@
 """Scenario file parsing, validation addressing, and round trips."""
 
+import configparser
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -11,12 +14,13 @@ from actinf.scenario import (
     builtin_scenario_path,
     discretized_gaussian,
     load_scenario,
+    read_sections,
     resolve_scenario,
     save_scenario,
 )
 
 from .channels import standard_channels
-from .oracles import discretized_gaussian_by_bins
+from .oracles import discretized_gaussian_by_bins, sections_by_configparser
 
 MINIMAL = """\
 [states]
@@ -132,7 +136,8 @@ def test_policy_with_unknown_action_is_rejected():
 
 def test_duplicate_keys_are_rejected():
     broken = MINIMAL.replace("[D]\ninitial = 0.7 0.3", "[D]\ninitial = 0.7 0.3\ninitial = 1 0")
-    with pytest.raises(ScenarioError):
+    assert broken.splitlines()[30] == "initial = 1 0"
+    with pytest.raises(ScenarioError, match=r"^inline: line 31: duplicate key 'initial'$"):
         load_scenario(broken)
 
 
@@ -345,3 +350,137 @@ def test_nan_state_prior_is_addressed():
     broken = replaced(assay_text(), "initial = 0.85 0.15 0 0", "initial = 0.85 nan 0 0")
     with pytest.raises(ScenarioError, match=r"\[D\] initial: non-finite mass"):
         load_scenario(broken)
+
+
+def random_document(rng: np.random.Generator) -> str:
+    """A document inside the reader's grammar, with every form it allows."""
+    name_chars = "abcXYZ019_.-"
+    value_chars = "abc XYZ 019 _.-=:;#[]"
+
+    def word(chars, lo, hi):
+        return "".join(rng.choice(list(chars), size=int(rng.integers(lo, hi))))
+
+    def junk():
+        kind = int(rng.integers(3))
+        if kind == 0:
+            return ""
+        if kind == 1:
+            return " " * int(rng.integers(1, 4))
+        return " " * int(rng.integers(0, 3)) + str(rng.choice(["#", ";"])) + word(value_chars, 0, 12)
+
+    lines = [junk() for _ in range(int(rng.integers(0, 3)))]
+    sections = {word(name_chars, 1, 6) for _ in range(int(rng.integers(0, 5)))}
+    for section in sections:
+        lines.append(f"[{section}]")
+        keys = {word(name_chars, 1, 4) + word(name_chars + " ", 0, 4).rstrip()
+                for _ in range(int(rng.integers(0, 6)))}
+        for key in keys:
+            value = word(value_chars, 0, 16)
+            before, after = (" " * int(rng.integers(0, 3)) for _ in range(2))
+            lines.append(f"{key}{before}={after}{value}" + " " * int(rng.integers(0, 2)))
+            lines.extend(junk() for _ in range(int(rng.integers(0, 2))))
+    newline = "\r\n" if rng.random() < 0.2 else "\n"
+    return newline.join(lines) + (newline if rng.random() < 0.5 else "")
+
+
+def test_reader_matches_configparser_inside_the_grammar():
+    rng = np.random.default_rng(7)
+    documents = [assay_text(), MINIMAL, save_scenario(resolve_scenario("lab_assay"))]
+    documents += [random_document(rng) for _ in range(500)]
+    for text in documents:
+        got = read_sections(text, "doc")
+        want = sections_by_configparser(text)
+        assert got == want, text
+        assert [list(keys) for keys in got.values()] == [list(keys) for keys in want.values()]
+
+
+# (document, line, message, whether configparser also rejected it)
+REJECTED = {
+    "duplicate_section": ("[a]\nx = 1\n\n[a]\ny = 2\n", 4, "duplicate section [a]", True),
+    "duplicate_key": ("[a]\nx = 1\n# note\nx = 2\n", 4, "duplicate key 'x'", True),
+    "key_before_section": ("# header comment\nx = 1\n[a]\n", 2, "key before any section", True),
+    "no_equals": ("[a]\nx = 1\njust words\n", 3, "expected 'key = value'", True),
+    "empty_key": ("[a]\n= 1\n", 2, "empty key", True),
+    "colon_delimiter": ("[a]\nx: 1\n", 2, "':' delimiter", False),
+    "colon_before_equals": ("[a]\nurl:port = 1\n", 2, "':' delimiter", False),
+    "continuation_line": ("[a]\nx = 1\n  2\n", 3, "indented line", False),
+    "indented_key": ("[a]\n\n  x = 1\n", 3, "indented line", False),
+    "text_after_header": ("[a]\n[b] ; comment\nx = 1\n", 2, "text after section header", False),
+    "unclosed_header": ("[a]\nx = 1\n[b\n", 3, "unclosed section header", True),
+    "empty_section_name": ("[]\nx = 1\n", 1, "empty section name", True),
+}
+
+
+@pytest.mark.parametrize("form", sorted(REJECTED))
+def test_reader_rejects_with_a_line_address(form):
+    text, line, message, configparser_rejected = REJECTED[form]
+    with pytest.raises(ScenarioError, match=rf"^doc: line {line}: {re.escape(message)}"):
+        read_sections(text, "doc")
+    if configparser_rejected:
+        with pytest.raises(configparser.Error):
+            sections_by_configparser(text)
+    else:  # accepted before, silently
+        sections_by_configparser(text)
+
+
+def test_load_scenario_addresses_a_rejected_line_by_file_name(tmp_path):
+    path = tmp_path / "colon.ini"
+    path.write_text(replaced(assay_text(), "measure_pH = identity", "measure_pH: identity"),
+                    encoding="utf-8")
+    line = path.read_text(encoding="utf-8").splitlines().index("measure_pH: identity") + 1
+    with pytest.raises(ScenarioError, match=rf"^colon: line {line}: ':' delimiter"):
+        load_scenario(str(path))
+
+
+def test_decreasing_numeric_channel_is_addressed():
+    broken = (
+        MINIMAL.replace("indicator = fine odd", "indicator = 2 1")
+        .replace("calm.prefer = fine", "calm.prefer = 2")
+        .replace("calm.avoid = odd", "calm.avoid = 1")
+    )
+    with pytest.raises(ScenarioError,
+                       match=r"^inline: \[channels\] indicator: numeric outcomes must increase$"):
+        load_scenario(broken)
+
+
+def test_uneven_grid_is_no_gauss_grid():
+    uneven = (
+        MINIMAL.replace("indicator = fine odd", "indicator = 0 100 200.001")
+        .replace("indicator.ok = 0.9 0.1", "indicator.ok = gauss 0 5")
+        .replace("indicator.bad = 0.2 0.8", "indicator.bad = 0.2 0.3 0.5")
+        .replace("calm.prefer = fine", "calm.prefer = 0")
+        .replace("calm.avoid = odd", "calm.avoid = 200.001")
+    )
+    with pytest.raises(ScenarioError, match=r"\[A\] indicator.ok: gauss needs a number grid: "
+                                            r"channel 'indicator': outcome grid must be evenly spaced"):
+        load_scenario(uneven)
+    # an even grid written with a step that floats cannot hold exactly still passes
+    even = uneven.replace("0 100 200.001", "0 0.1 0.2").replace("gauss 0 5", "gauss 0.1 0.05")
+    assert load_scenario(even.replace("= 200.001", "= 0.2")).model.channels["indicator"][2] == "0.2"
+
+
+def test_repeated_rows_are_parsed_once_per_channel(monkeypatch, assay):
+    import actinf.scenario as scenario_module
+
+    calls = []
+    real = scenario_module.discretized_gaussian
+    monkeypatch.setattr(scenario_module, "discretized_gaussian",
+                        lambda values, mu, sigma: calls.append((len(values), mu, sigma))
+                        or real(values, mu, sigma))
+    again = resolve_scenario("lab_assay")
+    # tempProbe's four rows are one spec, fluorescence repeats one of its three
+    assert sorted(calls) == sorted(set(calls))
+    assert len(calls) == 3 + 3 + 1
+    for ch, matrix in assay.model.a.matrices.items():
+        assert again.model.a.matrices[ch].tobytes() == matrix.tobytes()
+
+
+def test_readme_scenario_example_is_in_the_grammar_and_in_the_assay():
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    example = read_sections(block, "README")
+    assay_sections = read_sections(assay_text(), "lab_assay")
+    assert example
+    for section, entries in example.items():
+        for key, value in entries.items():
+            assert assay_sections[section][key] == value, (section, key)
