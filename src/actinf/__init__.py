@@ -3,7 +3,14 @@ energy, policy selection by expected free energy, a hierarchical agent
 loop over swappable world-model providers, and a seeded bench-assay
 simulator for end-to-end episodes."""
 
-from .agent import Agent, AgentConfig, EpisodeResult, Message, run_episode
+from .agent import (
+    Agent,
+    AgentConfig,
+    EpisodeResult,
+    Message,
+    RefinementSummary,
+    run_episode,
+)
 from .dists import CategoricalDistribution, delta, normalize, uniform
 from .errors import (
     DegenerateDistributionError,
@@ -53,7 +60,6 @@ from .planning import (
     select_policy,
 )
 from .providers import (
-    RefinementSummary,
     RemoteProvider,
     ScriptedProvider,
     TabularProvider,

@@ -10,12 +10,15 @@ Each step runs bottom-up then top-down:
                 prediction error (or with no live plan) re-scores the
                 candidate policies by expected free energy.
   executive     vetoes any winning policy that makes a near-forbidden
-                outcome too likely, confirms the survivor, and owns the
-                cross-episode task statistics.
+                outcome too likely and confirms the survivor.
 
 Between steps the belief travels forward through the transition model
 under the executed action; the initial state prior is used only before
 the first observation.
+
+After an episode ``Agent.propagate_refinement`` returns a refined
+(model, config) and changes nothing; a caller that carries learning
+builds the next agent and provider from them.
 """
 
 from __future__ import annotations
@@ -32,12 +35,7 @@ from .lab import ActionSpec, ExecutedAction, LabState, Observation
 # unused here, but the benchmark's tracer wraps actinf.agent.validate_model by name
 from .model import GenerativeModel, validate_model
 from .planning import argmin, enumerate_policies, expected_free_energy, rollout
-from .providers import (
-    RefinementSummary,
-    WorldModelProvider,
-    WorldModelQuery,
-    validate_response,
-)
+from .providers import WorldModelProvider, WorldModelQuery, validate_response
 from .trace import OpCounter, TraceEvent, FreeEnergyLedger, build_ledger
 
 BOTTOM_UP_KINDS = ("prediction-error", "policy-proposal")
@@ -60,8 +58,6 @@ class AgentConfig:
     pipette_step_ul: float = 0.5
     probe_channel: str = "phProbe"
     indicator_reliability_lr: float = 0.6
-    frequency_lr: float = 2.0 / 19.0
-    acidification_frequency: float = 0.05
 
     def __post_init__(self):
         if self.planning_horizon < 1:
@@ -76,9 +72,8 @@ class AgentConfig:
             raise ModelValidationError("veto_probability must be in (0, 1]")
         if self.pipette_step_ul <= 0:
             raise ModelValidationError("pipette_step_ul must be positive")
-        for name in ("indicator_reliability_lr", "frequency_lr"):
-            if not 0 <= getattr(self, name) <= 1:
-                raise ModelValidationError(f"{name} must be in [0, 1]")
+        if not 0 <= self.indicator_reliability_lr <= 1:
+            raise ModelValidationError("indicator_reliability_lr must be in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -98,6 +93,17 @@ class Message:
             raise ShapeError(f"unknown message direction {self.direction!r}")
         if self.kind not in allowed:
             raise ShapeError(f"{self.direction} messages cannot carry kind {self.kind!r}")
+
+
+@dataclass(frozen=True)
+class RefinementSummary:
+    """One parameter recalibrated after an episode."""
+
+    level: str
+    parameter: str
+    old: float
+    new: float
+    note: str = ""
 
 
 @dataclass(frozen=True)
@@ -132,13 +138,10 @@ class Agent:
         self.config = config
         self.provider = provider
         self.actions = actions
-        # mutable task statistics, refined between episodes
-        self.effect_per_ul = config.effect_per_ul
-        self.acidification_frequency = config.acidification_frequency
         self.reset()
 
     def reset(self) -> None:
-        """Start a fresh episode; learned parameters are kept."""
+        """Start a fresh episode."""
         self.counter = OpCounter()
         self._t = 0
         self._posterior: CategoricalDistribution | None = None
@@ -148,7 +151,6 @@ class Agent:
         self._history: list[Observation] = []
         self._excess_history: list[float] = []
         self._readings: dict[str, float] = {}
-        self._refined_key: tuple | None = None
 
     # -- per-step control loop -----------------------------------------
 
@@ -372,7 +374,7 @@ class Agent:
         if deficit <= 0:
             return 0.0
         step = self.config.pipette_step_ul
-        return round(deficit / self.effect_per_ul / step) * step
+        return round(deficit / self.config.effect_per_ul / step) * step
 
     # -- post-episode refinement -----------------------------------------
 
@@ -389,31 +391,33 @@ class Agent:
             "executive": sum(e.vfe.complexity for e in events),
         }
 
-    def propagate_refinement(self, events) -> tuple[RefinementSummary, ...]:
+    def propagate_refinement(
+        self, events
+    ) -> tuple[tuple[RefinementSummary, ...], GenerativeModel, AgentConfig]:
         """Recalibrate each level whose cumulative error reached theta.
 
-        Re-running with the identical trace is a no-op, so accidental
-        double application cannot compound the updates.
+        Returns the summaries and the refined (model, config) for the
+        next episode. Nothing on the agent or its provider changes, so
+        the same trace always gives the same answer.
         """
         events = tuple(events)
+        model, config = self.model, self.config
         if not events:
-            return ()
-        key = tuple((e.step, e.observation.channel, e.observation.outcome) for e in events)
-        if key == self._refined_key:
-            return ()
-        self._refined_key = key
-        theta = self.config.refinement_threshold
+            return (), model, config
+        theta = config.refinement_threshold
         errors = self.level_errors(events)
         summaries: list[RefinementSummary] = []
 
         if errors["sensorimotor"] >= theta:
-            summaries.extend(self.provider.refine(events))
+            recalibrated, model = recalibrate_sensor(
+                model, events, config.indicator_reliability_lr
+            )
+            summaries.extend(recalibrated)
 
         if errors["planner"] >= theta:
-            old = self.effect_per_ul
             observed = titration_effect(events)
             if observed is not None:
-                self.effect_per_ul = observed
+                config = replace(config, effect_per_ul=observed)
                 note = "per-microliter effect replaced by the measured rise"
             else:
                 note = "no post-titration probe reading; nominal effect retained"
@@ -421,25 +425,51 @@ class Agent:
                 RefinementSummary(
                     level="planner",
                     parameter="effect_per_ul",
-                    old=old,
-                    new=self.effect_per_ul,
+                    old=self.config.effect_per_ul,
+                    new=config.effect_per_ul,
                     note=note,
                 )
             )
+        return tuple(summaries), model, config
 
-        if errors["executive"] >= theta:
-            old = self.acidification_frequency
-            self.acidification_frequency = old + self.config.frequency_lr * (1.0 - old)
-            summaries.append(
-                RefinementSummary(
-                    level="executive",
-                    parameter="acidification_frequency",
-                    old=old,
-                    new=self.acidification_frequency,
-                    note="task-start statistics shifted toward the observed condition",
-                )
-            )
-        return tuple(summaries)
+
+def recalibrate_sensor(
+    model: GenerativeModel, events, lr: float
+) -> tuple[tuple[RefinementSummary, ...], GenerativeModel]:
+    """Sharpen the likelihood behind the episode's first prediction error.
+
+    The first event that raised one flags channel X with outcome o
+    under its dominant belief state s: A[X][s, o] moves toward
+    certainty by ``lr`` and the rest of the row rescales. Returns the
+    summaries (none without a flagged event) and the model to use next,
+    a refined copy; ``model`` itself is left untouched.
+    """
+    flagged = next(
+        (e for e in events if any(m.kind == "prediction-error" for m in e.messages)),
+        None,
+    )
+    if flagged is None:
+        return (), model
+    channel = flagged.observation.channel
+    j = model.channels[channel].index(flagged.observation.outcome)
+    s = int(np.argmax(flagged.belief.probs))
+    matrix = model.a.matrices[channel].copy()
+    old = float(matrix[s, j])
+    new = old + lr * (1.0 - old)
+    rest = 1.0 - old
+    scale = (1.0 - new) / rest if rest > 0 else 0.0
+    matrix[s] = matrix[s] * scale
+    matrix[s, j] = new
+    a = model.a
+    refined = replace(model, a=replace(a, matrices={**a.matrices, channel: matrix}))
+    summary = RefinementSummary(
+        level="sensorimotor",
+        parameter=f"A[{channel}][{model.states[s]}][{flagged.observation.outcome}]",
+        old=old,
+        new=new,
+        note="sensor reliability recalibrated after a surprise observation",
+    )
+    return (summary,), refined
 
 
 def titration_effect(events) -> float | None:
@@ -481,7 +511,9 @@ def run_episode(agent: Agent, env, max_steps: int = 20) -> tuple[EpisodeResult, 
     """observe -> step -> apply until the env reports terminal.
 
     Exhausting ``max_steps`` truncates the episode (outcome
-    "truncated"); refinement runs once at the end on the full trace.
+    "truncated"). The result keeps only the refinement summaries; call
+    ``agent.propagate_refinement(result.events)`` for the refined
+    (model, config).
     """
     if max_steps < 0:
         raise ShapeError(f"max_steps must be >= 0, got {max_steps}")
@@ -498,7 +530,7 @@ def run_episode(agent: Agent, env, max_steps: int = 20) -> tuple[EpisodeResult, 
         events.append(replace(event, op_counts=agent.counter.snapshot()))
         channel = agent.actions[executed.name].observes
     outcome = env.terminal_outcome or "truncated"
-    refinements = agent.propagate_refinement(events) if events else ()
+    refinements, _, _ = agent.propagate_refinement(events)
     ledger = build_ledger(events, baseline=float(agent.model.d.entropy()))
     result = EpisodeResult(
         outcome=outcome,

@@ -21,9 +21,7 @@ from .trace import emit_trace, render_ledger
 
 def build_provider(ref: str, scenario: Scenario):
     if ref == "tabular":
-        return TabularProvider(
-            scenario.model, reliability_lr=scenario.agent.indicator_reliability_lr
-        )
+        return TabularProvider(scenario.model)
     if ref.startswith("scripted:"):
         return ScriptedProvider.from_file(ref.split(":", 1)[1])
     if ref.startswith("remote:"):

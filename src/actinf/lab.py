@@ -88,7 +88,6 @@ class EnvSpec:
     """Physical constants of the simulated bench, scenario-declared."""
 
     initial_ph: float = 6.2
-    target_ph: float = 7.4
     fresh_ph: float = 7.4
     initial_temp_c: float = 22.0
     volume_ml: float = 1.0

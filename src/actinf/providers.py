@@ -20,9 +20,7 @@ from __future__ import annotations
 
 import abc
 import json
-from dataclasses import dataclass, replace
-
-import numpy as np
+from dataclasses import dataclass
 
 from .dists import CategoricalDistribution
 from .errors import (
@@ -54,17 +52,6 @@ class WorldModelQuery:
 class WorldModelResponse:
     proposed_posterior: CategoricalDistribution
     rationale: str = ""
-
-
-@dataclass(frozen=True)
-class RefinementSummary:
-    """One parameter recalibrated after an episode."""
-
-    level: str
-    parameter: str
-    old: float
-    new: float
-    note: str = ""
 
 
 def validate_response(response: WorldModelResponse, states: tuple[str, ...]) -> None:
@@ -125,12 +112,6 @@ def parse_response(doc) -> WorldModelResponse:
     )
 
 
-def _trace_key(events) -> tuple:
-    return tuple(
-        (e.step, e.observation.channel, e.observation.outcome, e.action) for e in events
-    )
-
-
 class WorldModelProvider(abc.ABC):
     """Anything that can propose posterior beliefs."""
 
@@ -140,33 +121,17 @@ class WorldModelProvider(abc.ABC):
     def infer(self, query: WorldModelQuery) -> WorldModelResponse:
         ...
 
-    def refine(self, events) -> tuple[RefinementSummary, ...]:
-        """Learn from a finished episode; no local parameters here."""
-        return ()
-
     def close(self) -> None:
         """Release what the provider holds open; nothing by default."""
 
 
 class TabularProvider(WorldModelProvider):
-    """Exact Bayes over the scenario model: the reference engine.
-
-    Refinement recalibrates the provider's own observation model: after
-    an episode whose first surprise flagged channel X with outcome o
-    under dominant state s, the likelihood A[X][s, o] moves toward
-    certainty by ``reliability_lr`` and the rest of the row rescales.
-    ``self.model`` is rebound to the refined copy; the model it was
-    built with is left untouched.
-    """
+    """Exact Bayes over the model it was built with: the reference engine."""
 
     name = "tabular"
 
-    def __init__(self, model: GenerativeModel, reliability_lr: float = 0.6):
-        if not 0.0 <= reliability_lr <= 1.0:
-            raise ShapeError(f"reliability_lr must be in [0, 1], got {reliability_lr}")
+    def __init__(self, model: GenerativeModel):
         self.model = model
-        self.reliability_lr = reliability_lr
-        self._refined_key: tuple | None = None
 
     def infer(self, query: WorldModelQuery) -> WorldModelResponse:
         if not query.observation_history:
@@ -180,46 +145,6 @@ class TabularProvider(WorldModelProvider):
         return WorldModelResponse(
             proposed_posterior=posterior,
             rationale=f"exact update on {obs.channel}={obs.outcome}",
-        )
-
-    def refine(self, events) -> tuple[RefinementSummary, ...]:
-        events = tuple(events)
-        key = _trace_key(events)
-        if key == self._refined_key:
-            return ()
-        self._refined_key = key
-        flagged = next(
-            (
-                e
-                for e in events
-                if any(m.kind == "prediction-error" for m in e.messages)
-            ),
-            None,
-        )
-        if flagged is None:
-            return ()
-        channel = flagged.observation.channel
-        outcomes = self.model.channels[channel]
-        j = outcomes.index(flagged.observation.outcome)
-        s = int(np.argmax(flagged.belief.probs))
-        matrix = self.model.a.matrices[channel].copy()
-        old = float(matrix[s, j])
-        new = old + self.reliability_lr * (1.0 - old)
-        rest = 1.0 - old
-        scale = (1.0 - new) / rest if rest > 0 else 0.0
-        matrix[s] = matrix[s] * scale
-        matrix[s, j] = new
-        a = self.model.a
-        self.model = replace(self.model, a=replace(a, matrices={**a.matrices, channel: matrix}))
-        state = self.model.states[s]
-        return (
-            RefinementSummary(
-                level="sensorimotor",
-                parameter=f"A[{channel}][{state}][{flagged.observation.outcome}]",
-                old=old,
-                new=new,
-                note="sensor reliability recalibrated after a surprise observation",
-            ),
         )
 
 

@@ -56,6 +56,10 @@ REQUIRED_SECTIONS = (
 # every scenario must declare the assistance fallback under this label
 FALLBACK_POLICY = "ask_human"
 
+# how an [environment] or [agent] value is read, by its field's type;
+# float() also reads an integer
+SPEC_TYPES = {"int": int, "float": float, "str": str}
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -408,6 +412,10 @@ def load_scenario(path_or_text, name: str = "") -> Scenario:
     labels = {p.label for p in policies}
     if FALLBACK_POLICY not in labels:
         raise ScenarioError(f"{name}: [policies] must declare the {FALLBACK_POLICY!r} fallback")
+    if len(policies) > agent.max_candidates:
+        # the planner would drop the policies past the limit unscored
+        doc.fail("agent", "max_candidates",
+                 f"{len(policies)} declared policies exceed the limit of {agent.max_candidates}")
     if agent.fallback_policy not in labels:
         raise ScenarioError(f"{name}: fallback policy {agent.fallback_policy!r} not declared")
     if env.start_channel not in channels:
@@ -416,20 +424,22 @@ def load_scenario(path_or_text, name: str = "") -> Scenario:
 
 
 def _build_spec(doc: _Doc, section: str, cls):
+    """The section as a ``cls``, each value read as its field's type."""
     known = {f.name: f for f in fields(cls)}
     kwargs = {}
     for key, raw in doc.section(section).items():
         if key not in known:
             doc.fail(section, key, f"unknown {cls.__name__} field")
-        value = _coerce(raw)
-        expected = known[key].type
-        if expected in ("float", float) and isinstance(value, int):
-            value = float(value)
-        kwargs[key] = value
+        # a field's type is its annotation's text under `from __future__ import annotations`
+        expected = getattr(known[key].type, "__name__", known[key].type)
+        try:
+            kwargs[key] = SPEC_TYPES[expected](raw)
+        except ValueError:
+            doc.fail(section, key, f"expected {expected}, got {raw!r}")
     try:
         return cls(**kwargs)
     except TypeError as exc:
-        raise ScenarioError(f"[{section}]: {exc}") from exc
+        raise ScenarioError(f"{doc.name}: [{section}]: {exc}") from exc
 
 
 def save_scenario(scenario: Scenario, path: str | None = None) -> str:

@@ -38,9 +38,6 @@ class RecordingProvider(WorldModelProvider):
         self.responses.append(response)
         return response
 
-    def refine(self, events):
-        return self.inner.refine(events)
-
 
 def main() -> None:
     DATA.mkdir(exist_ok=True)

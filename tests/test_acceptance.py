@@ -295,9 +295,8 @@ def test_criterion_10_provider_substitutability(golden_run):
     with criterion(10, "tabular trace == direct engine; scripted replays the fixture"):
         _, _, result, _ = golden_run
 
-        # the tabular-provider trace must be what the equations dictate;
-        # reload the scenario because end-of-episode refinement already
-        # recalibrated the run's own model copy
+        # the tabular-provider trace must be what the equations dictate,
+        # on a freshly loaded scenario
         scenario = resolve_scenario("lab_assay")
         model = scenario.model
         belief = model.d

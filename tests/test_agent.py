@@ -10,6 +10,7 @@ from actinf.agent import (
     Agent,
     AgentConfig,
     Message,
+    recalibrate_sensor,
     run_episode,
     titration_effect,
 )
@@ -23,6 +24,7 @@ from actinf.model import (
     Policy,
     PreferenceModel,
     TransitionModel,
+    validate_model,
 )
 from actinf.planning import enumerate_policies, expected_free_energy, rollout
 from actinf.providers import (
@@ -32,7 +34,7 @@ from actinf.providers import (
     parse_response,
 )
 from actinf.scenario import resolve_scenario
-from actinf.trace import TraceEvent
+from actinf.trace import TraceEvent, emit_trace
 
 from .oracles import efe_by_enumeration, random_model
 
@@ -65,7 +67,7 @@ def test_config_rejects_bad_values():
     with pytest.raises(ModelValidationError):
         AgentConfig(refinement_threshold=-0.5)
     with pytest.raises(ModelValidationError):
-        AgentConfig(frequency_lr=1.5)
+        AgentConfig(indicator_reliability_lr=1.5)
 
 
 def test_messages_enforce_direction_kind_discipline():
@@ -168,10 +170,10 @@ def test_op_counts_accumulate_monotonically(assay):
     assert last["providerCalls"] == result.steps
 
 
-def test_refinement_runs_once_per_trace(assay):
+def test_refinement_is_pure_and_repeatable(assay):
     agent, result, _ = assay_episode(assay)
     refined = {(r.level, r.parameter): r for r in result.refinements}
-    assert set(level for level, _ in refined) == {"sensorimotor", "planner", "executive"}
+    assert set(level for level, _ in refined) == {"sensorimotor", "planner"}
 
     sensor = refined[("sensorimotor", "A[indicatorColor][ph_acidic][yellow]")]
     assert sensor.old == pytest.approx(0.95)
@@ -181,13 +183,22 @@ def test_refinement_runs_once_per_trace(assay):
     assert planner.old == planner.new == 0.2
     assert "retained" in planner.note
 
-    executive = refined[("executive", "acidification_frequency")]
-    assert executive.old == pytest.approx(0.05)
-    assert executive.new == pytest.approx(0.15)
-    assert agent.acidification_frequency == pytest.approx(0.15)
+    # the refined (model, config) come back to the caller ...
+    summaries, model, config = agent.propagate_refinement(result.events)
+    assert summaries == result.refinements
+    assert model.a.matrices["indicatorColor"][1, 0] == pytest.approx(0.98)
+    assert config == assay.agent
+    # ... and nothing the agent or its provider holds has moved
+    assert agent.model is assay.model and agent.provider.model is assay.model
+    assert agent.config is assay.agent
+    assert assay.model.a.matrices["indicatorColor"][1, 0] == 0.95
 
-    # same trace again: a no-op at both the agent and provider level
-    assert agent.propagate_refinement(result.events) == ()
+    # the same trace again: the same answer, not a second step
+    again, model_again, config_again = agent.propagate_refinement(result.events)
+    assert again == summaries
+    assert config_again == config
+    for channel, matrix in model.a.matrices.items():
+        assert np.array_equal(model_again.a.matrices[channel], matrix)
 
 
 def test_level_errors_cover_all_three_levels(assay):
@@ -201,23 +212,49 @@ def test_second_episode_reuses_learned_parameters(assay):
     agent, first, _ = assay_episode(assay)
     posterior_before = first.events[0].belief.prob("ph_acidic")
 
-    env = LabEnv(assay.env, assay.model.channels, seed=7)
-    second, _ = run_episode(agent, env)
+    # learning is carried by building the next agent and provider from
+    # the refined model, so the two score with one A
+    _, model, config = agent.propagate_refinement(first.events)
+    carried = dataclasses.replace(assay, model=model, agent=config)
+    agent, second, _ = assay_episode(carried, seed=7)
     assert second.outcome == "assay_complete"
     # recalibrated indicator: yellow is now stronger acid evidence
     posterior_after = second.events[0].belief.prob("ph_acidic")
     assert posterior_after > posterior_before
-    # executive statistics moved again after the second surprise
-    assert agent.acidification_frequency == pytest.approx(0.15 + (2 / 19) * 0.85)
+    assert abs(second.events[0].vfe.total - second.events[0].surprise) <= 1e-12
+    # the second refinement starts where the first one ended
+    sensor = second.refinements[0]
+    assert sensor.old == pytest.approx(0.98)
+    assert sensor.new == pytest.approx(0.98 + 0.6 * 0.02)
+
+
+def episode_state(agent) -> dict:
+    """What ``reset`` sets, with the op counter as its totals."""
+    state = {
+        k: v for k, v in vars(agent).items()
+        if k not in ("model", "config", "provider", "actions")
+    }
+    state["counter"] = state["counter"].snapshot()
+    return state
 
 
 def test_reset_clears_episode_state_but_keeps_learning(assay):
-    agent, result, _ = assay_episode(assay)
-    agent.effect_per_ul = 0.197
+    first, result, _ = assay_episode(assay)
+    _, model, config = first.propagate_refinement(result.events)
+    config = dataclasses.replace(config, effect_per_ul=0.25)
+    carried = dataclasses.replace(assay, model=model, agent=config)
+    fresh = make_agent(carried)
+
+    agent, _, _ = assay_episode(carried)
+    # an episode writes no attribute that reset does not set ...
+    assert set(vars(agent)) == set(vars(fresh))
     agent.reset()
-    assert agent.counter.snapshot()["envSteps"] == 0
+    assert episode_state(agent) == episode_state(fresh)
     assert agent.planned_volume_ul() == 0.0  # readings gone
-    assert agent.effect_per_ul == 0.197
+    # ... and the learned model and config it was given stay as they were
+    assert agent.model is model and agent.config is config
+    agent._readings["phProbe"] = 6.9
+    assert agent.planned_volume_ul() == 2.0  # 0.5 pH at 0.25 pH/uL
 
 
 def test_max_steps_one_truncates(assay):
@@ -305,6 +342,125 @@ def test_titration_effect_averages_multiple_doses():
         event_for_effect(2, "phProbe", "7.4"),
     ]
     assert titration_effect(events) == pytest.approx((0.2 + 0.2) / 2)
+
+
+# -- learning across episodes -------------------------------------------
+
+
+def flagged_event(step=0, outcome="yellow"):
+    belief = normalize([0.05, 0.95, 0.0, 0.0], ("ph_ok", "ph_acidic", "spill", "restarted"))
+    message = Message(
+        direction="bottom-up",
+        kind="prediction-error",
+        payload={"channel": "indicatorColor", "outcome": outcome},
+        step=step,
+    )
+    return TraceEvent(
+        step=step,
+        observation=Observation("indicatorColor", outcome, step),
+        surprise=1.9,
+        expected_surprise=0.5,
+        belief=belief,
+        vfe=VfeReport(complexity=1.6, accuracy=-0.3, total=1.9),
+        messages=(message,),
+        action="measure_pH",
+        action_primitive="measure",
+    )
+
+
+def test_sensor_recalibration_sharpens_the_flagged_row(assay):
+    agent = make_agent(assay)
+    before = assay.model.a.matrices["indicatorColor"].copy()
+    summaries, model, _ = agent.propagate_refinement([flagged_event()])
+    sensor = [r for r in summaries if r.level == "sensorimotor"]
+    assert len(sensor) == 1
+    summary = sensor[0]
+    assert summary.parameter == "A[indicatorColor][ph_acidic][yellow]"
+    assert summary.old == pytest.approx(0.95)
+    assert summary.new == pytest.approx(0.98)
+    after = model.a.matrices["indicatorColor"]
+    assert after[1, 0] == pytest.approx(0.98)
+    assert after[1].sum() == pytest.approx(1.0)
+    # untouched rows and channels stay identical
+    assert np.array_equal(after[0], before[0])
+    assert np.array_equal(after[2], before[2])
+    for channel in ("phProbe", "fluorescence", "tempProbe", "spillDetector"):
+        assert np.array_equal(model.a.matrices[channel], assay.model.a.matrices[channel])
+    # the model the agent and provider were built with is left as it was
+    assert np.array_equal(assay.model.a.matrices["indicatorColor"], before)
+    assert agent.model is assay.model and agent.provider.model is assay.model
+    assert validate_model(model).ok
+
+
+def test_sensor_recalibration_reads_the_config_rate_and_chains(assay):
+    summaries, model = recalibrate_sensor(assay.model, [flagged_event()], 0.5)
+    assert summaries[0].new == pytest.approx(0.975)
+    # a model carried forward refines from where the last step ended
+    (summary,), _ = recalibrate_sensor(model, [flagged_event(step=1)], 0.6)
+    assert summary.old == pytest.approx(0.975)
+    assert summary.new == pytest.approx(0.975 + 0.6 * 0.025)
+
+
+def test_no_sensor_recalibration_without_a_prediction_error(assay):
+    calm = TraceEvent(
+        step=0,
+        observation=Observation("indicatorColor", "green", 0),
+        surprise=0.1,
+        expected_surprise=0.5,
+        belief=normalize([0.9, 0.1, 0.0, 0.0], assay.model.states),
+        vfe=VfeReport(complexity=0.05, accuracy=-0.05, total=0.1),
+    )
+    assert recalibrate_sensor(assay.model, [calm], 0.6) == ((), assay.model)
+    config = dataclasses.replace(assay.agent, refinement_threshold=0.0)
+    agent = make_agent(assay, config=config)
+    summaries, model, _ = agent.propagate_refinement([calm])
+    assert [r.level for r in summaries] == ["planner"]
+    assert model is assay.model
+
+
+def test_planner_refinement_returns_the_measured_effect(assay):
+    events = [
+        event_for_effect(0, "phProbe", "6.2", "titrate", {"volume_ul": 6.0}),
+        event_for_effect(1, "phProbe", "7.38"),
+    ]
+    events = [dataclasses.replace(e, vfe=VfeReport(1.0, 0.0, 1.0)) for e in events]
+    agent = make_agent(assay)
+    summaries, _, config = agent.propagate_refinement(events)
+    (planner,) = summaries
+    assert planner.old == 0.2
+    assert planner.new == config.effect_per_ul == pytest.approx((7.38 - 6.2) / 6.0)
+    assert "measured rise" in planner.note
+    assert agent.config is assay.agent
+    # the next agent doses with the measured effect
+    nxt = make_agent(assay, config=config)
+    nxt.step(Observation("phProbe", "6.2", 0))
+    assert nxt.planned_volume_ul() == round(1.2 / config.effect_per_ul / 0.5) * 0.5 == 6.0
+
+
+def test_carried_learning_keeps_vfe_equal_to_surprise(assay):
+    """Agent and provider built from one carried model agree at every step."""
+    model, config = assay.model, assay.agent
+    for seed in range(1, 101):
+        provider = TabularProvider(model)
+        agent = Agent(model, config, provider, assay.actions)
+        env = LabEnv(assay.env, model.channels, seed=seed)
+        result, _ = run_episode(agent, env)
+        for event in result.events:
+            assert abs(event.vfe.total - event.surprise) <= 1e-12, (seed, event.step)
+        _, model, config = agent.propagate_refinement(result.events)
+        assert validate_model(model).ok, seed
+    # the carried indicator row did sharpen, and the scenario's did not
+    assert model.a.matrices["indicatorColor"][1, 0] > 0.98
+    assert assay.model.a.matrices["indicatorColor"][1, 0] == 0.95
+
+
+def test_one_agent_twice_on_one_seed_writes_identical_traces(assay):
+    agent = make_agent(assay)
+    traces = []
+    for _ in range(2):
+        result, _ = run_episode(agent, LabEnv(assay.env, assay.model.channels, seed=42))
+        traces.append(emit_trace(result.events, scenario="lab_assay", seed=42, provider="tabular"))
+    assert traces[0] == traces[1]
 
 
 # -- provider failure falls back to assistance ---------------------------
@@ -584,10 +740,13 @@ def test_zero_threshold_opens_every_refinement_gate():
     result, _ = run_episode(agent, SteadyEnv(steps_until_done=2))
 
     levels = [r.level for r in result.refinements]
-    # the sensorimotor gate opened too, but a surprise-free trace gives
-    # the provider nothing to recalibrate
-    assert levels == ["planner", "executive"]
-    assert agent.provider._refined_key is not None
+    # the sensorimotor gate opened too, but a surprise-free trace flags
+    # no likelihood to recalibrate
+    assert levels == ["planner"]
+    summaries, refined_model, refined_config = agent.propagate_refinement(result.events)
+    assert summaries == result.refinements
+    assert refined_model is model
+    assert refined_config == config
 
 
 def test_terminal_at_reset_gives_an_empty_episode():

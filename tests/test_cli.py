@@ -34,6 +34,7 @@ def test_run_writes_trace_and_ledger(tmp_path, capsys):
     assert "outcome=assay_complete" in out
     assert "steps=3" in out
     assert "refined sensorimotor" in out
+    assert "refined executive" not in out
     assert trace.read_bytes() == (DATA / "golden_trace_seed42.jsonl").read_bytes()
     assert ledger.read_bytes() == (DATA / "golden_ledger_seed42.txt").read_bytes()
 
@@ -88,6 +89,27 @@ def test_validate_addresses_a_bad_preference_entry(tmp_path, capsys, line, broke
     text = pathlib.Path(builtin_scenario_path("lab_assay")).read_text(encoding="utf-8")
     assert text.count(line) == 1
     path = tmp_path / "bad_preference.ini"
+    path.write_text(text.replace(line, broken), encoding="utf-8")
+    assert main(["validate", "--scenario", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "OK" not in captured.out
+    assert address in captured.err
+
+
+@pytest.mark.parametrize("line, broken, address", [
+    ("noise_scale = 1.0", "noise_scale = x",
+     "bad_spec: [environment] noise_scale: expected float, got 'x'"),
+    ("max_candidates = 16", "max_candidates = 2.5",
+     "bad_spec: [agent] max_candidates: expected int, got '2.5'"),
+    ("planning_horizon = 2", "planning_horizon = two",
+     "bad_spec: [agent] planning_horizon: expected int, got 'two'"),
+    ("max_candidates = 16", "max_candidates = 3",
+     "bad_spec: [agent] max_candidates: 4 declared policies exceed the limit of 3"),
+])
+def test_validate_addresses_a_bad_spec_value(tmp_path, capsys, line, broken, address):
+    text = pathlib.Path(builtin_scenario_path("lab_assay")).read_text(encoding="utf-8")
+    assert text.count(line) == 1
+    path = tmp_path / "bad_spec.ini"
     path.write_text(text.replace(line, broken), encoding="utf-8")
     assert main(["validate", "--scenario", str(path)]) == 1
     captured = capsys.readouterr()

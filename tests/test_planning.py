@@ -239,7 +239,7 @@ def test_stacked_arrays_are_read_only_and_belong_to_their_model():
     for f in dataclasses.fields(StackedOutcomes):
         assert getattr(model.stacked, f.name).flags.writeable is False, f.name
 
-    # the copy TabularProvider.refine makes scores with its own A
+    # a refined copy, as Agent.propagate_refinement returns, scores with its own A
     sharp = np.eye(2)
     refined = dataclasses.replace(
         model, a=dataclasses.replace(model.a, matrices={"obs": sharp})

@@ -17,11 +17,10 @@ import numpy as np
 import pytest
 
 import actinf
-from actinf.agent import Message
 from actinf.cli import main as cli_main
 from actinf.dists import CategoricalDistribution, normalize
 from actinf.errors import ProviderError, ReplayExhaustedError, ShapeError
-from actinf.inference import VfeReport, bayes_update
+from actinf.inference import bayes_update
 from actinf.lab import Observation
 from actinf.providers import (
     RemoteProvider,
@@ -36,7 +35,6 @@ from actinf.providers import (
     validate_response,
 )
 from actinf.scenario import resolve_scenario
-from actinf.trace import TraceEvent
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -146,72 +144,12 @@ def test_tabular_wraps_unknown_outcomes(assay):
         provider.infer(query_for(assay.model, Observation("indicatorColor", "purple", 0)))
 
 
-def test_tabular_rejects_bad_learning_rate(assay):
-    with pytest.raises(ShapeError):
-        TabularProvider(assay.model, reliability_lr=1.5)
-
-
-def flagged_event(step=0, outcome="yellow"):
-    belief = normalize([0.05, 0.95, 0.0, 0.0], ("ph_ok", "ph_acidic", "spill", "restarted"))
-    message = Message(
-        direction="bottom-up",
-        kind="prediction-error",
-        payload={"channel": "indicatorColor", "outcome": outcome},
-        step=step,
-    )
-    return TraceEvent(
-        step=step,
-        observation=Observation("indicatorColor", outcome, step),
-        surprise=1.9,
-        expected_surprise=0.5,
-        belief=belief,
-        vfe=VfeReport(complexity=1.6, accuracy=-0.3, total=1.9),
-        messages=(message,),
-        action="measure_pH",
-        action_primitive="measure",
-    )
-
-
-def test_tabular_refine_recalibrates_the_flagged_row(assay):
-    provider = TabularProvider(assay.model, reliability_lr=0.6)
-    before = assay.model.a.matrices["indicatorColor"].copy()
-    summaries = provider.refine([flagged_event()])
-    assert len(summaries) == 1
-    summary = summaries[0]
-    assert summary.level == "sensorimotor"
-    assert summary.parameter == "A[indicatorColor][ph_acidic][yellow]"
-    assert summary.old == pytest.approx(0.95)
-    assert summary.new == pytest.approx(0.98)
-    after = provider.model.a.matrices["indicatorColor"]
-    assert after[1, 0] == pytest.approx(0.98)
-    assert after[1].sum() == pytest.approx(1.0)
-    # untouched rows stay identical
-    assert np.array_equal(after[0], before[0])
-    assert np.array_equal(after[2], before[2])
-    # the model the provider was built with is left as it was
-    assert np.array_equal(assay.model.a.matrices["indicatorColor"], before)
-
-
-def test_tabular_refine_is_idempotent_per_trace(assay):
-    provider = TabularProvider(assay.model)
-    events = [flagged_event()]
-    assert provider.refine(events)
-    assert provider.refine(events) == ()
-    # a different trace is a genuinely new episode and refines again
-    assert provider.refine([flagged_event(step=1)])[0].old == pytest.approx(0.98)
-
-
-def test_tabular_refine_without_prediction_error_is_a_no_op(assay):
-    provider = TabularProvider(assay.model)
-    calm = TraceEvent(
-        step=0,
-        observation=Observation("indicatorColor", "green", 0),
-        surprise=0.1,
-        expected_surprise=0.5,
-        belief=normalize([0.9, 0.1, 0.0, 0.0], assay.model.states),
-        vfe=VfeReport(complexity=0.05, accuracy=-0.05, total=0.1),
-    )
-    assert provider.refine([calm]) == ()
+def test_tabular_provider_takes_only_the_model(assay):
+    # the learning rate lives in AgentConfig; the provider learns nothing
+    with pytest.raises(TypeError):
+        TabularProvider(assay.model, reliability_lr=0.6)
+    assert not hasattr(TabularProvider, "refine")
+    assert not hasattr(actinf.WorldModelProvider, "refine")
 
 
 # -- scripted provider --------------------------------------------------

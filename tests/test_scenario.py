@@ -122,6 +122,50 @@ def test_unknown_agent_key_is_addressed():
         load_scenario(broken)
 
 
+def with_line(section: str, line: str) -> str:
+    """MINIMAL with one more line at the top of ``[section]``."""
+    return MINIMAL.replace(f"[{section}]\n", f"[{section}]\n{line}\n")
+
+
+@pytest.mark.parametrize("section, line, address", [
+    ("environment", "noise_scale = x", "[environment] noise_scale: expected float, got 'x'"),
+    ("agent", "max_candidates = 2.5", "[agent] max_candidates: expected int, got '2.5'"),
+    ("agent", "planning_horizon = two", "[agent] planning_horizon: expected int, got 'two'"),
+])
+def test_spec_values_must_have_their_field_type(section, line, address):
+    with pytest.raises(ScenarioError) as info:
+        load_scenario(with_line(section, line))
+    assert str(info.value) == f"inline: {address}"
+
+
+def test_spec_values_are_read_as_their_field_type():
+    scenario = load_scenario(with_line("environment", "noise_scale = 2"))
+    assert type(scenario.env.noise_scale) is float and scenario.env.noise_scale == 2.0
+    scenario = load_scenario(with_line("agent", "planning_horizon = 1"))
+    assert type(scenario.agent.planning_horizon) is int
+
+
+@pytest.mark.parametrize("section, line, owner", [
+    ("environment", "target_ph = 7.4", "EnvSpec"),
+    ("agent", "frequency_lr = 0.1", "AgentConfig"),
+    ("agent", "acidification_frequency = 0.05", "AgentConfig"),
+])
+def test_removed_write_only_fields_are_unknown(section, line, owner):
+    key = line.split(" =")[0]
+    with pytest.raises(ScenarioError, match=rf"\[{section}\] {key}: unknown {owner} field"):
+        load_scenario(with_line(section, line))
+
+
+def test_declared_policies_beyond_max_candidates_are_rejected():
+    # MINIMAL declares two policies; the planner would never score the second
+    with pytest.raises(
+        ScenarioError,
+        match=r"inline: \[agent\] max_candidates: 2 declared policies exceed the limit of 1",
+    ):
+        load_scenario(with_line("agent", "max_candidates = 1"))
+    assert load_scenario(with_line("agent", "max_candidates = 2")).agent.max_candidates == 2
+
+
 def test_missing_fallback_policy_is_rejected():
     broken = MINIMAL.replace("ask_human = ask_for_help look", "helpline = ask_for_help look")
     with pytest.raises(ScenarioError, match="must declare the 'ask_human' fallback"):
