@@ -12,9 +12,14 @@ Each step runs bottom-up then top-down:
   executive     vetoes any winning policy that makes a near-forbidden
                 outcome too likely and confirms the survivor.
 
-Between steps the belief travels forward through the transition model
-under the executed action; the initial state prior is used only before
-the first observation.
+The prediction sent top-down at step t is the prior predictive that
+step t+1 scores against: the posterior pushed through the transition
+model under the executed action, then through the likelihoods of the
+channel that action reads. The agent holds it from one step to the
+next, so an observation on the predicted channel is scored without
+computing it again, and the ``expectedSurprise`` of step t+1 is the
+``entropy`` that step t sent. The initial state prior is used only
+before the first observation.
 
 After an episode ``Agent.propagate_refinement`` returns a refined
 (model, config) and changes nothing; a caller that carries learning
@@ -25,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,6 +46,19 @@ from .trace import OpCounter, TraceEvent, FreeEnergyLedger, build_ledger
 
 BOTTOM_UP_KINDS = ("prediction-error", "policy-proposal")
 TOP_DOWN_KINDS = ("prediction", "policy-confirmation")
+MESSAGE_KINDS = {"bottom-up": BOTTOM_UP_KINDS, "top-down": TOP_DOWN_KINDS}
+
+# (field, test, rule) for each range check of AgentConfig, in order;
+# each test is written so that NaN fails it
+CONFIG_RANGES = (
+    ("planning_horizon", lambda v: v >= 1, ">= 1"),
+    ("vfe_baseline_window", lambda v: v >= 1, ">= 1"),
+    ("max_candidates", lambda v: v >= 1, ">= 1"),
+    ("refinement_threshold", lambda v: v >= 0, ">= 0"),
+    ("veto_probability", lambda v: 0 < v <= 1, "in (0, 1]"),
+    ("pipette_step_ul", lambda v: v > 0, "positive"),
+    ("indicator_reliability_lr", lambda v: 0 <= v <= 1, "in [0, 1]"),
+)
 
 
 @dataclass(frozen=True)
@@ -60,20 +79,9 @@ class AgentConfig:
     indicator_reliability_lr: float = 0.6
 
     def __post_init__(self):
-        if self.planning_horizon < 1:
-            raise ModelValidationError("planning_horizon must be >= 1")
-        if self.vfe_baseline_window < 1:
-            raise ModelValidationError("vfe_baseline_window must be >= 1")
-        if self.max_candidates < 1:
-            raise ModelValidationError("max_candidates must be >= 1")
-        if self.refinement_threshold < 0:
-            raise ModelValidationError("refinement_threshold must be >= 0")
-        if not 0 < self.veto_probability <= 1:
-            raise ModelValidationError("veto_probability must be in (0, 1]")
-        if self.pipette_step_ul <= 0:
-            raise ModelValidationError("pipette_step_ul must be positive")
-        if not 0 <= self.indicator_reliability_lr <= 1:
-            raise ModelValidationError("indicator_reliability_lr must be in [0, 1]")
+        for key, valid, rule in CONFIG_RANGES:
+            if not valid(getattr(self, key)):
+                raise ModelValidationError(f"{key} must be {rule}", field=key)
 
 
 @dataclass(frozen=True)
@@ -86,13 +94,20 @@ class Message:
     step: int
 
     def __post_init__(self):
-        allowed = {"bottom-up": BOTTOM_UP_KINDS, "top-down": TOP_DOWN_KINDS}.get(
-            self.direction
-        )
+        allowed = MESSAGE_KINDS.get(self.direction)
         if allowed is None:
             raise ShapeError(f"unknown message direction {self.direction!r}")
         if self.kind not in allowed:
             raise ShapeError(f"{self.direction} messages cannot carry kind {self.kind!r}")
+
+
+class Prediction(NamedTuple):
+    """What a step sends top-down for the next one to score against."""
+
+    prior: CategoricalDistribution  # the posterior pushed under the action
+    channel: str  # the channel the action reads
+    predictive: CategoricalDistribution  # the prior through that channel
+    entropy: float  # the predictive's, the next step's expected surprise
 
 
 @dataclass(frozen=True)
@@ -141,11 +156,11 @@ class Agent:
         self.reset()
 
     def reset(self) -> None:
-        """Start a fresh episode."""
+        """Start a fresh episode, and the provider's."""
+        self.provider.reset()
         self.counter = OpCounter()
         self._t = 0
-        self._posterior: CategoricalDistribution | None = None
-        self._last_action: str | None = None
+        self._prediction: Prediction | None = None
         self._plan = None
         self._cursor = 0
         self._history: list[Observation] = []
@@ -159,10 +174,15 @@ class Agent:
         step_i = self._t
         messages: list[Message] = []
 
-        prior = self._prior()
-        predictive = self.model.a.predictive(obs.channel, prior.probs)
+        held = self._prediction
+        prior = held.prior if held else self.model.d
+        if held and held.channel == obs.channel:
+            predictive, expected_surprise = held.predictive, held.entropy
+        else:
+            # the first step, or a caller reading another channel than predicted
+            predictive = self.model.a.predictive(obs.channel, prior.probs)
+            expected_surprise = predictive.entropy()
         observed_surprise = surprise(obs.outcome, predictive)
-        expected_surprise = predictive.entropy()
         excess = max(0.0, observed_surprise - expected_surprise)
         window = self._excess_history[-self.config.vfe_baseline_window:]
         baseline = sum(window) / len(window) if window else 0.0
@@ -230,8 +250,13 @@ class Agent:
             overrides["volume_ul"] = self.planned_volume_ul()
         executed = spec.bind(**overrides)
 
-        next_probs = self.model.b.push(posterior.probs, action_label)
-        next_predictive = self.model.a.predictive(spec.observes, next_probs)
+        next_prior = CategoricalDistribution(
+            self.model.states, self.model.b.push(posterior.probs, action_label)
+        )
+        next_predictive = self.model.a.predictive(spec.observes, next_prior.probs)
+        self._prediction = Prediction(
+            next_prior, spec.observes, next_predictive, next_predictive.entropy()
+        )
         messages.append(
             Message(
                 direction="top-down",
@@ -239,14 +264,11 @@ class Agent:
                 payload={
                     "channel": spec.observes,
                     "mode": next_predictive.mode(),
-                    "entropy": float(next_predictive.entropy()),
+                    "entropy": self._prediction.entropy,
                 },
                 step=step_i,
             )
         )
-
-        self._posterior = posterior
-        self._last_action = action_label
         self._t += 1
 
         event = TraceEvent(
@@ -266,12 +288,6 @@ class Agent:
             provider_error=provider_error,
         )
         return executed, event
-
-    def _prior(self) -> CategoricalDistribution:
-        if self._posterior is None:
-            return self.model.d
-        pushed = self.model.b.push(self._posterior.probs, self._last_action)
-        return CategoricalDistribution(self.model.states, pushed)
 
     def _update_belief(
         self, prior: CategoricalDistribution
@@ -524,10 +540,12 @@ def run_episode(agent: Agent, env, max_steps: int = 20) -> tuple[EpisodeResult, 
         if env.is_terminal:
             break
         obs = env.observe(channel)
+        # an env step is one observe/apply round, counted as it starts,
+        # so the event's op counts include the apply that follows it
+        agent.counter.env_steps += 1
         executed, event = agent.step(obs)
         env.apply(executed)
-        agent.counter.env_steps += 1
-        events.append(replace(event, op_counts=agent.counter.snapshot()))
+        events.append(event)
         channel = agent.actions[executed.name].observes
     outcome = env.terminal_outcome or "truncated"
     refinements, _, _ = agent.propagate_refinement(events)

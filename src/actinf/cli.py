@@ -14,7 +14,7 @@ import sys
 from .agent import Agent, run_episode
 from .errors import EngineError, ScenarioError
 from .lab import LabEnv
-from .providers import RemoteProvider, ScriptedProvider, TabularProvider
+from .providers import RemoteProvider, ScriptedProvider, TabularProvider, WorldModelProvider
 from .scenario import Scenario, resolve_scenario
 from .trace import emit_trace, render_ledger
 
@@ -41,26 +41,24 @@ def _seed_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _run_one(scenario: Scenario, provider_ref: str, seed: int, max_steps: int):
-    """One episode on a provider of its own, closed when the episode ends.
+def _run_one(scenario: Scenario, provider: WorldModelProvider, seed: int, max_steps: int):
+    """One episode on a fresh agent and env; returns (result, ledger).
 
-    Returns (provider name, result, ledger).
+    The agent resets the provider first, so one provider serves any
+    number of episodes, each traced as if it were the provider's first.
     """
-    provider = build_provider(provider_ref, scenario)
-    try:
-        agent = Agent(scenario.model, scenario.agent, provider, scenario.actions)
-        env = LabEnv(scenario.env, scenario.model.channels, seed=seed)
-        result, ledger = run_episode(agent, env, max_steps=max_steps)
-    finally:
-        provider.close()
-    return provider.name, result, ledger
+    agent = Agent(scenario.model, scenario.agent, provider, scenario.actions)
+    env = LabEnv(scenario.env, scenario.model.channels, seed=seed)
+    return run_episode(agent, env, max_steps=max_steps)
 
 
 def _cmd_run(args) -> int:
     scenario = resolve_scenario(args.scenario)
-    provider_name, result, ledger = _run_one(
-        scenario, args.provider, args.seed, args.max_steps
-    )
+    provider = build_provider(args.provider, scenario)
+    try:
+        result, ledger = _run_one(scenario, provider, args.seed, args.max_steps)
+    finally:
+        provider.close()
     state = result.final_state
     print(
         f"outcome={result.outcome} steps={result.steps} "
@@ -74,7 +72,7 @@ def _cmd_run(args) -> int:
             result.events,
             scenario=scenario.name,
             seed=args.seed,
-            provider=provider_name,
+            provider=provider.name,
             path=args.trace,
         )
         print(f"trace -> {args.trace}")
@@ -103,22 +101,27 @@ def _cmd_sweep(args) -> int:
     outcomes: dict[str, int] = {}
     first_policies: dict[str, int] = {}
     spills = 0
-    for seed in range(lo, hi + 1):
-        _, result, _ = _run_one(scenario, args.provider, seed, args.max_steps)
-        first = next((e.selected_policy for e in result.events if e.selected_policy), None)
-        outcomes[result.outcome] = outcomes.get(result.outcome, 0) + 1
-        if first is not None:
-            first_policies[first] = first_policies.get(first, 0) + 1
-        spills += int(result.final_state.spill)
-        per_seed.append(
-            {
-                "seed": seed,
-                "outcome": result.outcome,
-                "firstPolicy": first,
-                "steps": result.steps,
-                "spill": result.final_state.spill,
-            }
-        )
+    # one provider, and for remote:<url> one connection, for the whole sweep
+    provider = build_provider(args.provider, scenario)
+    try:
+        for seed in range(lo, hi + 1):
+            result, _ = _run_one(scenario, provider, seed, args.max_steps)
+            first = next((e.selected_policy for e in result.events if e.selected_policy), None)
+            outcomes[result.outcome] = outcomes.get(result.outcome, 0) + 1
+            if first is not None:
+                first_policies[first] = first_policies.get(first, 0) + 1
+            spills += int(result.final_state.spill)
+            per_seed.append(
+                {
+                    "seed": seed,
+                    "outcome": result.outcome,
+                    "firstPolicy": first,
+                    "steps": result.steps,
+                    "spill": result.final_state.spill,
+                }
+            )
+    finally:
+        provider.close()
     summary = {
         "scenario": scenario.name,
         "seeds": f"{lo}..{hi}",

@@ -3,10 +3,15 @@
 Probabilities are kept in the linear domain everywhere; logarithms are
 natural and only taken inside entropy/divergence computations, with a
 floor of ``EPS`` substituted for zeros first.
+
+Code on the agent's step path calls ndarray methods (``x.sum()``,
+``x.clip(...)``, ``x.min()``) rather than numpy's module functions:
+the same reductions, bit for bit, without a Python wrapper per call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -31,6 +36,35 @@ def _as_prob_array(values) -> np.ndarray:
     return arr
 
 
+@functools.lru_cache(maxsize=256)
+def _checked_str_labels(labels: tuple) -> tuple[tuple[str, ...], bool] | None:
+    """A tuple of strings and whether two coincide; None if a label is not a str.
+
+    Memoised: a run builds all its distributions over a few label tuples.
+    """
+    if not all(type(x) is str for x in labels):
+        return None
+    return labels, len(set(labels)) != len(labels)
+
+
+def _check_labels(labels) -> tuple[tuple[str, ...], bool]:
+    """The labels as strings and whether two of them coincide.
+
+    Only tuples of strings are memoised: equal labels of other types,
+    such as 1 and 1.0, print differently, and unhashable ones cannot be
+    looked up.
+    """
+    if type(labels) is tuple:
+        try:
+            checked = _checked_str_labels(labels)
+        except TypeError:  # an unhashable label
+            checked = None
+        if checked is not None:
+            return checked
+    strs = tuple(str(x) for x in labels)
+    return strs, len(set(strs)) != len(strs)
+
+
 @dataclass(frozen=True)
 class CategoricalDistribution:
     """An immutable probability vector over named outcomes.
@@ -44,18 +78,18 @@ class CategoricalDistribution:
     probs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        labels = tuple(str(x) for x in self.labels)
+        labels, duplicated = _check_labels(self.labels)
         object.__setattr__(self, "labels", labels)
         arr = _as_prob_array(self.probs).copy()
         if len(labels) != arr.shape[0]:
             raise ShapeError(
                 f"{len(labels)} labels but {arr.shape[0]} probabilities"
             )
-        if len(set(labels)) != len(labels):
+        if duplicated:
             raise ShapeError(f"duplicate labels in {labels}")
         if arr.size == 0:
             raise ShapeError("distribution needs at least one outcome")
-        if np.any(arr < 0):
+        if arr.min() < 0:
             raise DegenerateDistributionError(f"negative mass in {arr}")
         total = float(arr.sum())
         # the sum is NaN or infinite exactly when some entry is (or overflows)
@@ -79,11 +113,11 @@ class CategoricalDistribution:
 
     def entropy(self) -> float:
         """Shannon entropy in nats."""
-        p = np.clip(self.probs, EPS, 1.0)
-        return float(-np.sum(self.probs * np.log(p)))
+        p = self.probs.clip(EPS, 1.0)
+        return float(-(self.probs * np.log(p)).sum())
 
     def mode(self) -> str:
-        return self.labels[int(np.argmax(self.probs))]
+        return self.labels[int(self.probs.argmax())]
 
     def allclose(self, other: "CategoricalDistribution", atol: float = BELIEF_ATOL) -> bool:
         return self.labels == other.labels and bool(
@@ -97,7 +131,7 @@ def normalize(weights, labels) -> CategoricalDistribution:
     Zero total mass is an error rather than a silent uniform fallback.
     """
     arr = _as_prob_array(weights)
-    if np.any(arr < 0):
+    if arr.size and arr.min() < 0:
         raise DegenerateDistributionError(f"negative weight in {arr}")
     total = float(arr.sum())
     if total <= 0.0:

@@ -20,7 +20,14 @@ class ImpossibleObservationError(EngineError):
 
 
 class ModelValidationError(EngineError):
-    """A generative model failed structural validation."""
+    """A generative model or an agent configuration failed validation.
+
+    ``field`` names the configuration field at fault, if there is one.
+    """
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 class ScenarioError(EngineError):

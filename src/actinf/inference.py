@@ -36,8 +36,8 @@ def kl_divergence(q: CategoricalDistribution, p: CategoricalDistribution) -> flo
     """KL(q || p) in nats; zero-mass entries are floored at EPS."""
     if q.labels != p.labels:
         raise ShapeError(f"label mismatch: {q.labels} vs {p.labels}")
-    qp = np.clip(q.probs, EPS, 1.0)
-    pp = np.clip(p.probs, EPS, 1.0)
+    qp = q.probs.clip(EPS, 1.0)
+    pp = p.probs.clip(EPS, 1.0)
     # 0 * log(0/p) contributes nothing regardless of p.
     terms = np.where(q.probs > 0.0, q.probs * (np.log(qp) - np.log(pp)), 0.0)
     return max(0.0, float(terms.sum()))
@@ -74,8 +74,8 @@ def compute_vfe(
 ) -> VfeReport:
     """Free energy of holding `posterior` after seeing the outcome."""
     complexity = kl_divergence(posterior, prior)
-    lik = np.clip(np.asarray(likelihood_column, dtype=float), EPS, None)
-    accuracy = float(np.sum(posterior.probs * np.log(lik)))
+    lik = np.asarray(likelihood_column, dtype=float).clip(EPS, None)
+    accuracy = float((posterior.probs * np.log(lik)).sum())
     return VfeReport(complexity=complexity, accuracy=accuracy, total=complexity - accuracy)
 
 

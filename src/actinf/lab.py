@@ -13,7 +13,7 @@ outcome label of their channel.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -158,7 +158,7 @@ class LabEnv:
     def observe(self, channel: str) -> Observation:
         if channel not in self.channels:
             raise ShapeError(f"unknown channel {channel!r}")
-        outcome = getattr(self, f"_read_{_snake(channel)}")()
+        outcome = getattr(self, _reader_name(channel))()
         obs = Observation(channel=channel, outcome=outcome, t=self._observed)
         self._observed += 1
         if (
@@ -212,7 +212,7 @@ class LabEnv:
         self._set(elapsed_min=self.state.elapsed_min + minutes)
 
     def _set(self, **changes) -> None:
-        self.state = replace(self.state, **changes)
+        self.state = LabState(**{**vars(self.state), **changes})
 
     def _do_measure(self, params: dict) -> None:
         self._advance(self.spec.measure_minutes)
@@ -242,7 +242,7 @@ class LabEnv:
             if float(self.rng.random()) < self.spec.spill_prob_over_rate:
                 spill = True
         self._set(
-            ph=float(np.clip(self.state.ph + delta / self.state.volume_ml, 0.0, 14.0)),
+            ph=min(max(self.state.ph + delta / self.state.volume_ml, 0.0), 14.0),
             reagent_used_ul=self.state.reagent_used_ul + volume,
             spill=spill,
         )
@@ -301,6 +301,12 @@ def _parse_bins(name: str, outcomes: tuple[str, ...]) -> np.ndarray | None:
         raise ScenarioError(f"channel {name!r}: numeric outcomes must increase")
     values.flags.writeable = False
     return values
+
+
+@functools.lru_cache(maxsize=64)
+def _reader_name(channel: str) -> str:
+    """The ``LabEnv`` method that reads a channel, named once per channel."""
+    return f"_read_{_snake(channel)}"
 
 
 def _snake(name: str) -> str:

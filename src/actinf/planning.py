@@ -58,11 +58,17 @@ def rollout(
         raise ShapeError(f"belief labels {belief.labels} != states {model.states}")
     if not policies:
         raise NoCandidateError("rollout needs at least one candidate policy")
+    # model.b.push inlined, with its lookups bound once
+    tensor, index = model.b.tensor, model.b.actions.index
     rows = []
     for policy in policies:
         probs = belief.probs
         for action in policy.actions:
-            probs = model.b.push(probs, action)
+            try:
+                i = index(action)
+            except ValueError:
+                raise ShapeError(f"unknown action {action!r}, have {model.b.actions}") from None
+            probs = probs @ tensor[i]
             rows.append(probs)
     states = np.array(rows)
     stacked = model.stacked
@@ -86,7 +92,7 @@ def information_gain(model: GenerativeModel, plan: Rollout) -> np.ndarray:
     """
     q_o = plan.outcomes
     stacked = model.stacked
-    outcome_term = np.add.reduceat(q_o * np.log(np.clip(q_o, EPS, None)), stacked.starts, axis=1)
+    outcome_term = np.add.reduceat(q_o * np.log(q_o.clip(EPS, None)), stacked.starts, axis=1)
     per_step = np.maximum(plan.states @ stacked.a_log_a - outcome_term, 0.0)
     return np.add.reduceat(per_step.sum(axis=1), plan.starts)
 

@@ -121,6 +121,13 @@ class WorldModelProvider(abc.ABC):
     def infer(self, query: WorldModelQuery) -> WorldModelResponse:
         ...
 
+    def reset(self) -> None:
+        """Start a fresh episode; nothing by default.
+
+        ``Agent.reset`` calls it, so one provider can serve many episodes,
+        each as if it were the provider's first.
+        """
+
     def close(self) -> None:
         """Release what the provider holds open; nothing by default."""
 
@@ -155,6 +162,10 @@ class ScriptedProvider(WorldModelProvider):
 
     def __init__(self, responses):
         self.responses = tuple(responses)
+        self.cursor = 0
+
+    def reset(self) -> None:
+        """Replay the script from its first response."""
         self.cursor = 0
 
     @classmethod

@@ -36,7 +36,7 @@ import numpy as np
 
 from .agent import AgentConfig
 from .dists import CategoricalDistribution
-from .errors import DegenerateDistributionError, ScenarioError
+from .errors import DegenerateDistributionError, ModelValidationError, ScenarioError
 from .lab import ActionSpec, EnvSpec, PRIMITIVES
 from .model import (
     GenerativeModel,
@@ -440,6 +440,8 @@ def _build_spec(doc: _Doc, section: str, cls):
         return cls(**kwargs)
     except TypeError as exc:
         raise ScenarioError(f"{doc.name}: [{section}]: {exc}") from exc
+    except ModelValidationError as exc:  # a value out of its field's range
+        doc.fail(section, exc.field, str(exc))
 
 
 def save_scenario(scenario: Scenario, path: str | None = None) -> str:

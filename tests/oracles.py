@@ -63,6 +63,24 @@ def efe_by_enumeration(
     return epistemic, pragmatic, -epistemic - pragmatic
 
 
+def prior_predictive_by_sums(
+    model: GenerativeModel, posterior: np.ndarray, action: str, channel: str
+) -> tuple[np.ndarray, float]:
+    """The outcome distribution on ``channel`` after ``action``, and its entropy.
+
+    The posterior goes through B[action] and then A[channel], one
+    product at a time: the predictive the next step scores against.
+    """
+    b = model.b.matrix(action)
+    a = model.a.matrices[channel]
+    n = len(model.states)
+    prior = [math.fsum(posterior[r] * b[r, s] for r in range(n)) for s in range(n)]
+    weights = [math.fsum(prior[s] * a[s, o] for s in range(n)) for o in range(a.shape[1])]
+    total = math.fsum(weights)
+    q = np.array([w / total for w in weights])
+    return q, -math.fsum(p * math.log(p) for p in q if p > 0.0)
+
+
 def random_model(rng: np.random.Generator) -> tuple[GenerativeModel, CategoricalDistribution]:
     """A small random generative model plus a random starting belief."""
     n_states = int(rng.integers(2, 5))

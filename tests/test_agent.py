@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -34,9 +35,12 @@ from actinf.providers import (
     parse_response,
 )
 from actinf.scenario import resolve_scenario
-from actinf.trace import TraceEvent, emit_trace
+from actinf.trace import TraceEvent, emit_trace, event_json, read_trace
 
-from .oracles import efe_by_enumeration, random_model
+from .oracles import efe_by_enumeration, prior_predictive_by_sums, random_model
+
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 @pytest.fixture()
@@ -758,3 +762,63 @@ def test_terminal_at_reset_gives_an_empty_episode():
     assert result.events == ()
     assert result.refinements == ()
     assert ledger.rows == ()
+
+
+# -- one prediction per step ----------------------------------------------
+
+
+def prediction_of(event):
+    (message,) = [m for m in event.messages if m.kind == "prediction"]
+    return message.payload
+
+
+def test_expected_surprise_is_the_entropy_sent_the_step_before(assay):
+    traces = [read_trace(str(DATA / "golden_trace_seed42.jsonl"))[1]]
+    for seed in range(1, 101):
+        _, result, _ = assay_episode(assay, seed=seed)
+        traces.append([event_json(e) for e in result.events])
+    for events in traces:
+        assert len(events) >= 2
+        for before, event in zip(events, events[1:]):
+            (sent,) = [m["payload"] for m in before["messages"] if m["kind"] == "prediction"]
+            assert event["observation"]["channel"] == sent["channel"]
+            # bit-equal: the step scores against the prediction it was sent
+            assert event["expectedSurprise"] == sent["entropy"]
+
+
+@pytest.mark.parametrize("seed", [1, 42])
+def test_an_episode_builds_one_predictive_per_step_plus_one(assay, monkeypatch, seed):
+    calls = []
+    predictive = ObservationModel.predictive
+
+    def counting(self, channel, state_probs):
+        calls.append(channel)
+        return predictive(self, channel, state_probs)
+
+    monkeypatch.setattr(ObservationModel, "predictive", counting)
+    _, result, _ = assay_episode(assay, seed=seed)
+    assert len(calls) == result.steps + 1
+
+    calls.clear()
+    model, actions, config = certainty_scenario()
+    agent = Agent(model, config, TabularProvider(model), actions)
+    result, _ = run_episode(agent, SteadyEnv(steps_until_done=5))
+    assert result.steps == 5
+    assert len(calls) == 6
+
+
+def test_a_step_on_another_channel_scores_against_the_pushed_prior(assay):
+    agent = make_agent(assay)
+    _, first = agent.step(Observation("indicatorColor", "yellow", 0))
+    sent = prediction_of(first)
+    assert sent["channel"] == "phProbe"  # the plan measures next
+
+    # a caller reads the indicator again instead of the predicted probe
+    _, second = agent.step(Observation("indicatorColor", "yellow", 1))
+    q, entropy = prior_predictive_by_sums(
+        assay.model, first.belief.probs, first.action, "indicatorColor"
+    )
+    assert second.expected_surprise == pytest.approx(entropy, abs=1e-12)
+    assert second.expected_surprise != pytest.approx(sent["entropy"], abs=1e-3)
+    yellow = assay.model.channels["indicatorColor"].index("yellow")
+    assert second.surprise == pytest.approx(-math.log(q[yellow]), abs=1e-12)

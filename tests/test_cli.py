@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import re
 
 import pytest
 
@@ -13,6 +14,8 @@ from actinf.model import validate_model
 from actinf.providers import RemoteProvider, ScriptedProvider, TabularProvider
 from actinf.scenario import builtin_scenario_path, resolve_scenario
 from actinf.trace import emit_trace, read_trace
+
+from .test_scenario import AGENT_RANGE_CASES
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -117,6 +120,19 @@ def test_validate_addresses_a_bad_spec_value(tmp_path, capsys, line, broken, add
     assert address in captured.err
 
 
+@pytest.mark.parametrize("key, value, rule", AGENT_RANGE_CASES)
+def test_validate_addresses_an_out_of_range_agent_value(tmp_path, capsys, key, value, rule):
+    text = pathlib.Path(builtin_scenario_path("lab_assay")).read_text(encoding="utf-8")
+    broken, count = re.subn(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+    assert count == 1
+    path = tmp_path / "bad_range.ini"
+    path.write_text(broken, encoding="utf-8")
+    assert main(["validate", "--scenario", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "OK" not in captured.out
+    assert f"bad_range: [agent] {key}: {rule}" in captured.err
+
+
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_decreasing_numeric_channel_fails_validate_as_run_does(tmp_path, capsys, command):
     text = pathlib.Path(builtin_scenario_path("lab_assay")).read_text(encoding="utf-8")
@@ -186,7 +202,7 @@ def test_sweep_validates_the_model_once(monkeypatch, capsys):
 
 def test_sweep_seeds_do_not_depend_on_earlier_seeds():
     # `actinf sweep` shares one scenario across its seeds, with a fresh
-    # provider and agent per seed; each seed must trace as if run alone
+    # agent per seed; each seed must trace as if run alone
     shared = resolve_scenario("lab_assay")
     for seed in (1, 2, 3):
         traces = []
@@ -280,7 +296,7 @@ def test_malformed_remote_url_is_rejected_before_the_episode(tmp_path, capsys, u
 
 
 def test_every_provider_the_cli_builds_is_closed(monkeypatch):
-    closed = []
+    built, closed = [], []
 
     class Closing(TabularProvider):
         def close(self):
@@ -293,14 +309,17 @@ def test_every_provider_the_cli_builds_is_closed(monkeypatch):
     provider_class = Closing
 
     def build(ref, scenario):
-        return provider_class(scenario.model)
+        built.append(provider_class(scenario.model))
+        return built[-1]
 
     monkeypatch.setattr("actinf.cli.build_provider", build)
     assert main(["run", "--scenario", "lab_assay", "--seed", "42"]) == 0
+    # a sweep builds one provider for all its seeds
     assert main(["sweep", "--scenario", "lab_assay", "--seeds", "1..3"]) == 0
-    assert len(closed) == 4
+    assert len(built) == 2 and closed == built
 
     provider_class = Crashing
-    with pytest.raises(RuntimeError, match="provider bug"):
-        main(["run", "--scenario", "lab_assay", "--seed", "42"])
-    assert len(closed) == 5
+    for command in (["run", "--seed", "42"], ["sweep", "--seeds", "1..3"]):
+        with pytest.raises(RuntimeError, match="provider bug"):
+            main([command[0], "--scenario", "lab_assay", *command[1:]])
+    assert len(built) == 4 and closed == built

@@ -79,3 +79,34 @@ def test_normalization_survives_random_weights():
         d = normalize(w, [f"o{i}" for i in range(n)])
         assert abs(float(d.probs.sum()) - 1.0) <= 1e-9
         assert np.all(d.probs >= 0)
+
+
+@pytest.mark.parametrize("labels, probs, message", [
+    (("a", "a"), [0.5, 0.5], "duplicate labels"),
+    # the length check comes before the duplicate check
+    (("a", "a", "b"), [0.5, 0.5], "3 labels but 2 probabilities"),
+    ((1, "1"), [0.5, 0.5], "duplicate labels"),
+])
+def test_a_bad_label_tuple_is_rejected_on_every_call(labels, probs, message):
+    for _ in range(3):
+        with pytest.raises(ShapeError, match=message):
+            CategoricalDistribution(labels, probs)
+
+
+def test_labels_are_coerced_by_their_own_str():
+    # equal labels that print differently keep their own text
+    assert CategoricalDistribution((1, 2), [0.5, 0.5]).labels == ("1", "2")
+    assert CategoricalDistribution((1.0, 2.0), [0.5, 0.5]).labels == ("1.0", "2.0")
+    assert CategoricalDistribution((True, False), [0.5, 0.5]).labels == ("True", "False")
+    assert CategoricalDistribution(("x", "y"), [0.5, 0.5]).labels == ("x", "y")
+
+
+def test_unhashable_labels_are_checked_as_any_other():
+    assert CategoricalDistribution(["a", "b"], [0.5, 0.5]).labels == ("a", "b")
+    assert CategoricalDistribution((["a"], "b"), [0.5, 0.5]).labels == ("['a']", "b")
+    assert CategoricalDistribution(iter(["a", "b"]), [0.5, 0.5]).labels == ("a", "b")
+    for _ in range(2):
+        with pytest.raises(ShapeError, match="duplicate labels"):
+            CategoricalDistribution(["a", "a"], [0.5, 0.5])
+        with pytest.raises(ShapeError, match="duplicate labels"):
+            CategoricalDistribution((["a"], "['a']"), [0.5, 0.5])

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import actinf
+import actinf.cli
 from actinf.cli import main as cli_main
 from actinf.dists import CategoricalDistribution, normalize
 from actinf.errors import ProviderError, ReplayExhaustedError, ShapeError
@@ -35,6 +36,7 @@ from actinf.providers import (
     validate_response,
 )
 from actinf.scenario import resolve_scenario
+from actinf.trace import emit_trace
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -453,6 +455,61 @@ def test_remote_episode_traces_as_the_tabular_one(tmp_path, capsys, stub):
     assert header.pop("provider") == "remote"
     assert json.loads(golden_header) == {**header, "provider": "tabular"}
     assert stub.opened == 1
+
+
+def sweep_traces_against_runs(monkeypatch, tmp_path, provider_ref, seeds):
+    """Each seed's trace from one `actinf sweep`, and from `actinf run --seed k`."""
+    episodes = []
+    run_one = actinf.cli._run_one
+
+    def recording(scenario, provider, seed, max_steps):
+        result, ledger = run_one(scenario, provider, seed, max_steps)
+        episodes.append((seed, provider.name, result))
+        return result, ledger
+
+    monkeypatch.setattr(actinf.cli, "_run_one", recording)
+    lo, hi = seeds[0], seeds[-1]
+    assert cli_main(["sweep", "--scenario", "lab_assay", "--seeds", f"{lo}..{hi}",
+                     "--provider", provider_ref]) == 0
+    monkeypatch.setattr(actinf.cli, "_run_one", run_one)
+    assert [seed for seed, _, _ in episodes] == list(seeds)
+    pairs = []
+    for seed, name, result in episodes:
+        path = tmp_path / f"run-{seed}.jsonl"
+        assert cli_main(["run", "--scenario", "lab_assay", "--seed", str(seed),
+                         "--provider", provider_ref, "--trace", str(path)]) == 0
+        swept = emit_trace(result.events, scenario="lab_assay", seed=seed, provider=name)
+        pairs.append((swept, path.read_text(encoding="utf-8")))
+    return pairs
+
+
+def test_remote_sweep_uses_one_connection(tmp_path, capsys, stub, no_proxy_env):
+    pairs = sweep_traces_against_runs(no_proxy_env, tmp_path, f"remote:{stub.url}", range(1, 6))
+    # one for the sweep's five seeds, then one per `actinf run`
+    assert stub.opened == 1 + 5
+    for swept, alone in pairs:
+        assert swept == alone
+
+
+def test_scripted_sweep_replays_the_script_for_every_seed(tmp_path, capsys, monkeypatch):
+    ref = f"scripted:{DATA / 'golden_script_seed42.jsonl'}"
+    pairs = sweep_traces_against_runs(monkeypatch, tmp_path, ref, range(1, 6))
+    for swept, alone in pairs:
+        assert swept == alone
+        # a provider that was not rewound would run out of script
+        assert '"providerError": null' in swept and "exhausted" not in swept
+
+
+def test_scripted_reset_rewinds_the_cursor():
+    first, second = (
+        WorldModelResponse(normalize([1.0, 0.0], ("a", "b"))),
+        WorldModelResponse(normalize([0.0, 1.0], ("a", "b"))),
+    )
+    provider = ScriptedProvider([first, second])
+    query = WorldModelQuery((), normalize([0.5, 0.5], ("a", "b")))
+    assert provider.infer(query) is first
+    provider.reset()
+    assert [provider.infer(query), provider.infer(query)] == [first, second]
 
 
 def test_import_loads_the_http_stack_only_for_a_remote_provider(stub):

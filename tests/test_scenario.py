@@ -138,6 +138,33 @@ def test_spec_values_must_have_their_field_type(section, line, address):
     assert str(info.value) == f"inline: {address}"
 
 
+# one out-of-range value for each range check of AgentConfig
+AGENT_RANGE_CASES = [
+    ("planning_horizon", "0", "planning_horizon must be >= 1"),
+    ("vfe_baseline_window", "0", "vfe_baseline_window must be >= 1"),
+    ("max_candidates", "0", "max_candidates must be >= 1"),
+    ("refinement_threshold", "-0.5", "refinement_threshold must be >= 0"),
+    ("veto_probability", "0", "veto_probability must be in (0, 1]"),
+    ("pipette_step_ul", "0", "pipette_step_ul must be positive"),
+    ("indicator_reliability_lr", "1.5", "indicator_reliability_lr must be in [0, 1]"),
+]
+
+
+@pytest.mark.parametrize("key, value, rule", AGENT_RANGE_CASES)
+def test_out_of_range_agent_values_are_addressed(key, value, rule):
+    with pytest.raises(ScenarioError) as info:
+        load_scenario(with_line("agent", f"{key} = {value}"))
+    assert str(info.value) == f"inline: [agent] {key}: {rule}"
+
+
+@pytest.mark.parametrize(
+    "key", ["refinement_threshold", "veto_probability", "pipette_step_ul", "indicator_reliability_lr"]
+)
+def test_nan_agent_values_are_out_of_range(key):
+    with pytest.raises(ScenarioError, match=rf"^inline: \[agent\] {key}: {key} must be "):
+        load_scenario(with_line("agent", f"{key} = nan"))
+
+
 def test_spec_values_are_read_as_their_field_type():
     scenario = load_scenario(with_line("environment", "noise_scale = 2"))
     assert type(scenario.env.noise_scale) is float and scenario.env.noise_scale == 2.0
