@@ -7,6 +7,7 @@ from .agent import (
     Agent,
     AgentConfig,
     EpisodeResult,
+    EpisodeState,
     Message,
     RefinementSummary,
     run_episode,
@@ -72,7 +73,6 @@ from .scenario import Scenario, load_scenario, resolve_scenario, save_scenario
 from .trace import (
     FreeEnergyLedger,
     LedgerRow,
-    OpCounter,
     TraceEvent,
     build_ledger,
     emit_ledger,

@@ -1,5 +1,12 @@
 """Hierarchical three-level controller and the episode loop.
 
+An episode is a fold: ``run_episode`` threads a frozen ``EpisodeState``
+through ``Agent.step(state, obs)``, which returns the next state, the
+action and the step's ``TraceEvent`` and changes neither the agent nor
+the state it was given. The past is read off the state's events: the
+step index, the provider's history, the latest probe reading for the
+dose, the surprise-excess window and the cumulative op counts.
+
 Each step runs bottom-up then top-down:
 
   sensorimotor  encodes the observation, scores its surprise against
@@ -15,7 +22,7 @@ Each step runs bottom-up then top-down:
 The prediction sent top-down at step t is the prior predictive that
 step t+1 scores against: the posterior pushed through the transition
 model under the executed action, then through the likelihoods of the
-channel that action reads. The agent holds it from one step to the
+channel that action reads. The state carries it from one step to the
 next, so an observation on the predicted channel is scored without
 computing it again, and the ``expectedSurprise`` of step t+1 is the
 ``entropy`` that step t sent. The initial state prior is used only
@@ -35,14 +42,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .dists import CategoricalDistribution
-from .errors import ModelValidationError, ProviderError, ShapeError
+from .errors import ModelValidationError, ProviderError, ShapeError, check_ranges
 from .inference import compute_vfe, surprise
 from .lab import ActionSpec, ExecutedAction, LabState, Observation
 # unused here, but the benchmark's tracer wraps actinf.agent.validate_model by name
-from .model import GenerativeModel, validate_model
+from .model import GenerativeModel, Policy, validate_model
 from .planning import argmin, enumerate_policies, expected_free_energy, rollout
 from .providers import WorldModelProvider, WorldModelQuery, validate_response
-from .trace import OpCounter, TraceEvent, FreeEnergyLedger, build_ledger
+from .trace import COUNTER_KEYS, TraceEvent, FreeEnergyLedger, build_ledger
 
 BOTTOM_UP_KINDS = ("prediction-error", "policy-proposal")
 TOP_DOWN_KINDS = ("prediction", "policy-confirmation")
@@ -79,9 +86,7 @@ class AgentConfig:
     indicator_reliability_lr: float = 0.6
 
     def __post_init__(self):
-        for key, valid, rule in CONFIG_RANGES:
-            if not valid(getattr(self, key)):
-                raise ModelValidationError(f"{key} must be {rule}", field=key)
+        check_ranges(self, CONFIG_RANGES)
 
 
 @dataclass(frozen=True)
@@ -111,6 +116,21 @@ class Prediction(NamedTuple):
 
 
 @dataclass(frozen=True)
+class EpisodeState:
+    """An episode so far: its events, the held prediction and the live plan."""
+
+    events: tuple[TraceEvent, ...] = ()
+    prediction: Prediction | None = None  # what the next step scores against
+    plan: Policy | None = None
+    cursor: int = 0  # index of the plan's next action
+
+    @property
+    def history(self) -> tuple[Observation, ...]:
+        """The observations stepped so far, oldest first."""
+        return tuple(e.observation for e in self.events)
+
+
+@dataclass(frozen=True)
 class RefinementSummary:
     """One parameter recalibrated after an episode."""
 
@@ -136,7 +156,8 @@ class Agent:
     The model must already have passed ``validate_model`` where it was
     built, in ``load_scenario`` or by the caller; the agent does not
     audit it again. Only ``actions`` is checked here, since only the
-    agent sees it.
+    agent sees it. The agent keeps nothing per episode: that is the
+    ``EpisodeState`` its steps hand on.
     """
 
     def __init__(
@@ -153,28 +174,24 @@ class Agent:
         self.config = config
         self.provider = provider
         self.actions = actions
-        self.reset()
-
-    def reset(self) -> None:
-        """Start a fresh episode, and the provider's."""
-        self.provider.reset()
-        self.counter = OpCounter()
-        self._t = 0
-        self._prediction: Prediction | None = None
-        self._plan = None
-        self._cursor = 0
-        self._history: list[Observation] = []
-        self._excess_history: list[float] = []
-        self._readings: dict[str, float] = {}
 
     # -- per-step control loop -----------------------------------------
 
-    def step(self, obs: Observation) -> tuple[ExecutedAction, TraceEvent]:
-        """One full bottom-up/top-down pass; returns the next action."""
-        step_i = self._t
+    def step(
+        self, state: EpisodeState, obs: Observation
+    ) -> tuple[EpisodeState, ExecutedAction, TraceEvent]:
+        """One full bottom-up/top-down pass; returns the next state and action."""
+        events = state.events
+        step_i = len(events)
+        history = state.history + (obs,)
+        counts = dict(events[-1].op_counts) if events else dict.fromkeys(COUNTER_KEYS, 0)
+        counts["envSteps"] += 1  # the observe/apply round this step is part of
         messages: list[Message] = []
 
-        held = self._prediction
+        def send(direction: str, kind: str, **payload) -> None:
+            messages.append(Message(direction, kind, payload, step_i))
+
+        held = state.prediction
         prior = held.prior if held else self.model.d
         if held and held.channel == obs.channel:
             predictive, expected_surprise = held.predictive, held.entropy
@@ -184,92 +201,48 @@ class Agent:
             expected_surprise = predictive.entropy()
         observed_surprise = surprise(obs.outcome, predictive)
         excess = max(0.0, observed_surprise - expected_surprise)
-        window = self._excess_history[-self.config.vfe_baseline_window:]
+        window = [
+            max(0.0, e.surprise - e.expected_surprise)
+            for e in events[-self.config.vfe_baseline_window:]
+        ]
         baseline = sum(window) / len(window) if window else 0.0
         prediction_error = excess > baseline + self.config.refinement_threshold
-        self._excess_history.append(excess)
-        self._remember_reading(obs)
         if prediction_error:
-            messages.append(
-                Message(
-                    direction="bottom-up",
-                    kind="prediction-error",
-                    payload={
-                        "channel": obs.channel,
-                        "outcome": obs.outcome,
-                        "surprise": observed_surprise,
-                        "expectedSurprise": expected_surprise,
-                        "excess": excess,
-                        "baseline": baseline,
-                    },
-                    step=step_i,
-                )
-            )
+            send("bottom-up", "prediction-error", channel=obs.channel, outcome=obs.outcome,
+                 surprise=observed_surprise, expectedSurprise=expected_surprise,
+                 excess=excess, baseline=baseline)
 
-        self._history.append(obs)
-        posterior, provider_error = self._update_belief(prior)
-        vfe = compute_vfe(
-            posterior,
-            prior,
-            self.model.a.likelihood_column(obs.channel, obs.outcome),
-        )
+        posterior, provider_error = self._update_belief(history, prior, counts)
+        column = self.model.a.likelihood_column(obs.channel, obs.outcome)
+        vfe = compute_vfe(posterior, prior, column)
 
         efe_table = ()
         selected = None
+        plan, cursor = state.plan, state.cursor
         if provider_error is not None:
-            self._plan = self.model.policy(self.config.fallback_policy)
-            self._cursor = 0
-            messages.append(
-                Message(
-                    direction="bottom-up",
-                    kind="policy-proposal",
-                    payload={"policy": self._plan.label, "reason": "provider failure"},
-                    step=step_i,
-                )
-            )
-            messages.append(
-                Message(
-                    direction="top-down",
-                    kind="policy-confirmation",
-                    payload={"policy": self._plan.label, "fallback": True},
-                    step=step_i,
-                )
-            )
-        elif (
-            prediction_error
-            or self._plan is None
-            or self._cursor >= len(self._plan.actions)
-        ):
-            selected, efe_table = self._replan(posterior, messages, step_i)
+            plan, cursor = self.model.policy(self.config.fallback_policy), 0
+            send("bottom-up", "policy-proposal", policy=plan.label, reason="provider failure")
+            send("top-down", "policy-confirmation", policy=plan.label, fallback=True)
+        elif prediction_error or plan is None or cursor >= len(plan.actions):
+            plan, selected, efe_table = self._replan(posterior, send, counts)
+            cursor = 0
 
-        action_label = self._plan.actions[self._cursor]
-        self._cursor += 1
+        action_label = plan.actions[cursor]
         spec = self.actions[action_label]
         overrides = {}
         if spec.params.get("volume_ul") == "auto":
-            overrides["volume_ul"] = self.planned_volume_ul()
+            overrides["volume_ul"] = self.planned_volume_ul(history)
         executed = spec.bind(**overrides)
 
         next_prior = CategoricalDistribution(
             self.model.states, self.model.b.push(posterior.probs, action_label)
         )
         next_predictive = self.model.a.predictive(spec.observes, next_prior.probs)
-        self._prediction = Prediction(
+        prediction = Prediction(
             next_prior, spec.observes, next_predictive, next_predictive.entropy()
         )
-        messages.append(
-            Message(
-                direction="top-down",
-                kind="prediction",
-                payload={
-                    "channel": spec.observes,
-                    "mode": next_predictive.mode(),
-                    "entropy": self._prediction.entropy,
-                },
-                step=step_i,
-            )
-        )
-        self._t += 1
+        send("top-down", "prediction", channel=spec.observes, mode=next_predictive.mode(),
+             entropy=prediction.entropy)
 
         event = TraceEvent(
             step=step_i,
@@ -284,51 +257,41 @@ class Agent:
             action=action_label,
             action_primitive=spec.primitive,
             action_params=dict(executed.params),
-            op_counts=self.counter.snapshot(),
+            op_counts=counts,
             provider_error=provider_error,
         )
-        return executed, event
+        next_state = EpisodeState(events + (event,), prediction, plan, cursor + 1)
+        return next_state, executed, event
 
     def _update_belief(
-        self, prior: CategoricalDistribution
+        self, history: tuple[Observation, ...], prior: CategoricalDistribution, counts: dict
     ) -> tuple[CategoricalDistribution, str | None]:
-        query = WorldModelQuery(
-            observation_history=tuple(self._history), current_belief=prior
-        )
-        self.counter.provider_calls += 1
+        query = WorldModelQuery(observation_history=history, current_belief=prior)
+        counts["providerCalls"] += 1
         try:
             response = self.provider.infer(query)
             validate_response(response, self.model.states)
         except ProviderError as exc:
             # keep the pushed prior; the executive takes over the policy
             return prior, str(exc)
-        self.counter.belief_updates += 1
+        counts["beliefUpdates"] += 1
         return response.proposed_posterior, None
 
-    def _replan(self, posterior: CategoricalDistribution, messages: list, step_i: int):
+    def _replan(self, posterior: CategoricalDistribution, send, counts: dict):
         candidates = enumerate_policies(
             self.model, self.config.planning_horizon, self.config.max_candidates
         )
         plan = rollout(self.model, posterior, candidates)
         table = expected_free_energy(self.model, plan)
         vetoes = self._vetoes(plan)
-        self.counter.efe_evaluations += len(candidates)
-        self.counter.rollout_steps += len(plan.states)
+        counts["efeEvaluations"] += len(candidates)
+        counts["rolloutSteps"] += len(plan.states)
         totals = [row.total for row in table]
         allowed = [True] * len(candidates)
         chosen = None
         while (best := argmin(totals, allowed)) is not None:
-            messages.append(
-                Message(
-                    direction="bottom-up",
-                    kind="policy-proposal",
-                    payload={
-                        "policy": candidates[best].label,
-                        "efeTotal": table[best].total,
-                    },
-                    step=step_i,
-                )
-            )
+            send("bottom-up", "policy-proposal", policy=candidates[best].label,
+                 efeTotal=table[best].total)
             if not vetoes[best]:
                 chosen = best
                 break
@@ -336,29 +299,18 @@ class Agent:
 
         if chosen is None:
             # every candidate predicted a near-forbidden outcome; hand off
-            self._plan = self.model.policy(self.config.fallback_policy)
-            confirmation = {"policy": self._plan.label, "fallback": True}
+            policy = self.model.policy(self.config.fallback_policy)
+            send("top-down", "policy-confirmation", policy=policy.label, fallback=True)
             selected = None
         else:
-            self._plan = candidates[chosen]
-            confirmation = {
-                "policy": self._plan.label,
-                "vetoed": [c.label for c, ok in zip(candidates, allowed) if not ok],
-            }
-            selected = self._plan.label
-        self._cursor = 0
-        messages.append(
-            Message(
-                direction="top-down",
-                kind="policy-confirmation",
-                payload=confirmation,
-                step=step_i,
-            )
-        )
+            policy = candidates[chosen]
+            vetoed = [c.label for c, ok in zip(candidates, allowed) if not ok]
+            send("top-down", "policy-confirmation", policy=policy.label, vetoed=vetoed)
+            selected = policy.label
         marked = tuple(
             b if ok else replace(b, vetoed=True) for b, ok in zip(table, allowed)
         )
-        return selected, marked
+        return policy, selected, marked
 
     def _vetoes(self, plan) -> np.ndarray:
         """Executive safety check: one flag per rolled-out candidate.
@@ -371,31 +323,30 @@ class Agent:
         risky = ((plan.outcomes > self.config.veto_probability) & forbidden).any(axis=1)
         return np.logical_or.reduceat(risky, plan.starts)
 
-    def _remember_reading(self, obs: Observation) -> None:
-        try:
-            self._readings[obs.channel] = float(obs.outcome)
-        except ValueError:
-            pass
-
-    def planned_volume_ul(self) -> float:
+    def planned_volume_ul(self, history) -> float:
         """Dose to reach the target pH, quantized to the pipette step.
 
-        Without a probe reading the planner refuses to dose blind and
-        returns zero volume.
+        The dose reads the latest numeric probe reading in ``history``;
+        without one the planner refuses to dose blind and returns zero
+        volume.
         """
-        reading = self._readings.get(self.config.probe_channel)
-        if reading is None:
-            return 0.0
-        deficit = self.config.target_ph - reading
-        if deficit <= 0:
-            return 0.0
-        step = self.config.pipette_step_ul
-        return round(deficit / self.config.effect_per_ul / step) * step
+        for obs in reversed(history):
+            if obs.channel != self.config.probe_channel:
+                continue
+            try:
+                deficit = self.config.target_ph - float(obs.outcome)
+            except ValueError:
+                continue
+            if deficit <= 0:
+                return 0.0
+            step = self.config.pipette_step_ul
+            return round(deficit / self.config.effect_per_ul / step) * step
+        return 0.0
 
     # -- post-episode refinement -----------------------------------------
 
     def level_errors(self, events) -> dict[str, float]:
-        """Cumulative prediction error per level over one episode."""
+        """Cumulative prediction error of each refined level over one episode."""
         events = tuple(events)
         return {
             "sensorimotor": sum(
@@ -404,7 +355,6 @@ class Agent:
             "planner": sum(
                 max(0.0, e.vfe.total - e.expected_surprise) for e in events
             ),
-            "executive": sum(e.vfe.complexity for e in events),
         }
 
     def propagate_refinement(
@@ -526,6 +476,7 @@ def titration_effect(events) -> float | None:
 def run_episode(agent: Agent, env, max_steps: int = 20) -> tuple[EpisodeResult, FreeEnergyLedger]:
     """observe -> step -> apply until the env reports terminal.
 
+    The steps fold one ``EpisodeState`` from ``EpisodeState()``.
     Exhausting ``max_steps`` truncates the episode (outcome
     "truncated"). The result keeps only the refinement summaries; call
     ``agent.propagate_refinement(result.events)`` for the refined
@@ -533,20 +484,15 @@ def run_episode(agent: Agent, env, max_steps: int = 20) -> tuple[EpisodeResult, 
     """
     if max_steps < 0:
         raise ShapeError(f"max_steps must be >= 0, got {max_steps}")
-    agent.reset()
-    events: list[TraceEvent] = []
+    state = EpisodeState()
     channel = env.spec.start_channel
     for _ in range(max_steps):
         if env.is_terminal:
             break
-        obs = env.observe(channel)
-        # an env step is one observe/apply round, counted as it starts,
-        # so the event's op counts include the apply that follows it
-        agent.counter.env_steps += 1
-        executed, event = agent.step(obs)
+        state, executed, _ = agent.step(state, env.observe(channel))
         env.apply(executed)
-        events.append(event)
         channel = agent.actions[executed.name].observes
+    events = state.events
     outcome = env.terminal_outcome or "truncated"
     refinements, _, _ = agent.propagate_refinement(events)
     ledger = build_ledger(events, baseline=float(agent.model.d.entropy()))
@@ -554,7 +500,7 @@ def run_episode(agent: Agent, env, max_steps: int = 20) -> tuple[EpisodeResult, 
         outcome=outcome,
         steps=len(events),
         final_state=env.state,
-        events=tuple(events),
+        events=events,
         refinements=refinements,
     )
     return result, ledger

@@ -31,6 +31,12 @@ def build_provider(ref: str, scenario: Scenario):
     )
 
 
+def _seed(text: str) -> int:
+    if not re.fullmatch(r"\d+", text):
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _seed_range(text: str) -> tuple[int, int]:
     match = re.fullmatch(r"(\d+)\.\.(\d+)", text)
     if not match:
@@ -44,8 +50,8 @@ def _seed_range(text: str) -> tuple[int, int]:
 def _run_one(scenario: Scenario, provider: WorldModelProvider, seed: int, max_steps: int):
     """One episode on a fresh agent and env; returns (result, ledger).
 
-    The agent resets the provider first, so one provider serves any
-    number of episodes, each traced as if it were the provider's first.
+    A provider answers each query from the query alone, so one provider
+    serves any number of episodes, each traced as if it were the first.
     """
     agent = Agent(scenario.model, scenario.agent, provider, scenario.actions)
     env = LabEnv(scenario.env, scenario.model.channels, seed=seed)
@@ -154,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run one seeded episode")
     run.add_argument("--scenario", required=True, help="bundled name or path to .ini")
-    run.add_argument("--seed", type=int, default=0)
+    run.add_argument("--seed", type=_seed, default=0)
     run.add_argument("--trace", help="write the JSONL trace here")
     run.add_argument("--ledger", help="write the rendered free-energy ledger here")
     run.add_argument("--provider", default="tabular",

@@ -20,14 +20,21 @@ class ImpossibleObservationError(EngineError):
 
 
 class ModelValidationError(EngineError):
-    """A generative model or an agent configuration failed validation.
+    """A generative model or a scenario spec failed validation.
 
-    ``field`` names the configuration field at fault, if there is one.
+    ``field`` names the spec field at fault, if there is one.
     """
 
     def __init__(self, message: str, field: str | None = None):
         super().__init__(message)
         self.field = field
+
+
+def check_ranges(spec, ranges) -> None:
+    """Raise on the first ``(field, test, rule)`` of ``ranges`` that ``spec`` fails."""
+    for key, valid, rule in ranges:
+        if not valid(getattr(spec, key)):
+            raise ModelValidationError(f"{key} must be {rule}", field=key)
 
 
 class ScenarioError(EngineError):

@@ -13,11 +13,12 @@ outcome label of their channel.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ScenarioError, ShapeError
+from .errors import ScenarioError, ShapeError, check_ranges
 
 INDICATOR_YELLOW_BELOW = 7.0
 INDICATOR_BLUE_ABOVE = 8.0
@@ -83,6 +84,26 @@ class ActionSpec:
         )
 
 
+# (field, test, rule) for each range check of EnvSpec, in order; each
+# test is written so that NaN fails it
+ENV_RANGES = (
+    ("initial_ph", lambda v: 0 <= v <= 14, "in [0, 14]"),
+    ("fresh_ph", lambda v: 0 <= v <= 14, "in [0, 14]"),
+    ("volume_ml", lambda v: v > 0, "positive"),
+    ("spill_prob_over_rate", lambda v: 0 <= v <= 1, "in [0, 1]"),
+    ("max_safe_rate_ul_per_s", lambda v: v > 0, "positive"),
+    ("denature_factor", lambda v: 0 <= v <= 1, "in [0, 1]"),
+    *((key, lambda v: v >= 0, ">= 0") for key in (
+        "naoh_effect_per_ul", "effect_sd_per_ul", "probe_sd", "temp_sd", "fluor_sd",
+        "noise_scale", "measure_minutes", "ask_minutes", "discard_minutes",
+        "denature_minutes",
+    )),
+    *((key, math.isfinite, "finite") for key in (
+        "initial_temp_c", "heat_c_per_min", "denature_temp_c",
+    )),
+)
+
+
 @dataclass(frozen=True)
 class EnvSpec:
     """Physical constants of the simulated bench, scenario-declared."""
@@ -107,6 +128,9 @@ class EnvSpec:
     denature_factor: float = 0.05
     start_channel: str = "indicatorColor"
     noise_scale: float = 1.0
+
+    def __post_init__(self):
+        check_ranges(self, ENV_RANGES)
 
 
 def indicator_color(ph: float) -> str:

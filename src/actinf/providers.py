@@ -7,7 +7,8 @@ planner's own work (``actinf.planning``) and never cross this boundary.
 Three implementations ship:
 
 * TabularProvider - exact Bayes over the scenario's generative model.
-* ScriptedProvider - replays a fixed response script, for golden tests.
+* ScriptedProvider - replays a fixed response script, for golden tests:
+  response k answers step k.
 * RemoteProvider - POSTs the query to an HTTP endpoint speaking the
   wire format below and validates whatever comes back.
 
@@ -121,13 +122,6 @@ class WorldModelProvider(abc.ABC):
     def infer(self, query: WorldModelQuery) -> WorldModelResponse:
         ...
 
-    def reset(self) -> None:
-        """Start a fresh episode; nothing by default.
-
-        ``Agent.reset`` calls it, so one provider can serve many episodes,
-        each as if it were the provider's first.
-        """
-
     def close(self) -> None:
         """Release what the provider holds open; nothing by default."""
 
@@ -156,17 +150,17 @@ class TabularProvider(WorldModelProvider):
 
 
 class ScriptedProvider(WorldModelProvider):
-    """Replays a fixed response sequence; queries are not consulted."""
+    """Replays a fixed response sequence by history length.
+
+    Response k answers the query whose history holds k + 1 observations,
+    that is step k of an episode; nothing else of the query is read, and
+    nothing is kept between queries.
+    """
 
     name = "scripted"
 
     def __init__(self, responses):
         self.responses = tuple(responses)
-        self.cursor = 0
-
-    def reset(self) -> None:
-        """Replay the script from its first response."""
-        self.cursor = 0
 
     @classmethod
     def from_file(cls, path: str) -> "ScriptedProvider":
@@ -178,13 +172,14 @@ class ScriptedProvider(WorldModelProvider):
         return cls(responses)
 
     def infer(self, query: WorldModelQuery) -> WorldModelResponse:
-        if self.cursor >= len(self.responses):
+        k = len(query.observation_history) - 1
+        if k < 0:
+            raise ProviderError("cannot infer from an empty history", payload=None)
+        if k >= len(self.responses):
             raise ReplayExhaustedError(
                 f"script exhausted after {len(self.responses)} responses"
             )
-        response = self.responses[self.cursor]
-        self.cursor += 1
-        return response
+        return self.responses[k]
 
 
 def save_script(responses, path: str) -> None:

@@ -22,7 +22,8 @@ from .planning import EfeBreakdown
 
 SCHEMA = "trace/v1"
 
-# counter snapshot keys, in emission order
+# the keys of an event's cumulative operation counts (the episode's
+# energy proxy), in emission order
 COUNTER_KEYS = (
     "beliefUpdates",
     "efeEvaluations",
@@ -30,26 +31,6 @@ COUNTER_KEYS = (
     "envSteps",
     "providerCalls",
 )
-
-
-@dataclass
-class OpCounter:
-    """Cumulative operation counts, the episode's energy proxy."""
-
-    belief_updates: int = 0
-    efe_evaluations: int = 0
-    rollout_steps: int = 0
-    env_steps: int = 0
-    provider_calls: int = 0
-
-    def snapshot(self) -> dict[str, int]:
-        return {
-            "beliefUpdates": self.belief_updates,
-            "efeEvaluations": self.efe_evaluations,
-            "rolloutSteps": self.rollout_steps,
-            "envSteps": self.env_steps,
-            "providerCalls": self.provider_calls,
-        }
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from actinf.agent import Agent, run_episode
+from actinf.agent import Agent, EpisodeState, run_episode
 from actinf.dists import CategoricalDistribution, normalize, uniform
 from actinf.inference import bayes_update, compute_vfe, kl_divergence, surprise
 from actinf.lab import LabEnv, Observation
@@ -124,8 +124,8 @@ def test_criterion_3_titration_arithmetic():
         agent = Agent(
             scenario.model, scenario.agent, TabularProvider(scenario.model), scenario.actions
         )
-        agent.step(Observation("phProbe", "6.2", 0))
-        assert agent.planned_volume_ul() == 6.0
+        state, _, _ = agent.step(EpisodeState(), Observation("phProbe", "6.2", 0))
+        assert agent.planned_volume_ul(state.history) == 6.0
 
 
 def test_criterion_4_seed_42_episode_outcome(golden_run):

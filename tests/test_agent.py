@@ -10,6 +10,7 @@ import pytest
 from actinf.agent import (
     Agent,
     AgentConfig,
+    EpisodeState,
     Message,
     recalibrate_sensor,
     run_episode,
@@ -205,10 +206,10 @@ def test_refinement_is_pure_and_repeatable(assay):
         assert np.array_equal(model_again.a.matrices[channel], matrix)
 
 
-def test_level_errors_cover_all_three_levels(assay):
+def test_level_errors_cover_the_two_refined_levels(assay):
     agent, result, _ = assay_episode(assay)
     errors = agent.level_errors(result.events)
-    assert set(errors) == {"sensorimotor", "planner", "executive"}
+    assert set(errors) == {"sensorimotor", "planner"}
     assert all(v >= assay.agent.refinement_threshold for v in errors.values())
 
 
@@ -232,33 +233,70 @@ def test_second_episode_reuses_learned_parameters(assay):
     assert sensor.new == pytest.approx(0.98 + 0.6 * 0.02)
 
 
-def episode_state(agent) -> dict:
-    """What ``reset`` sets, with the op counter as its totals."""
-    state = {
-        k: v for k, v in vars(agent).items()
-        if k not in ("model", "config", "provider", "actions")
-    }
-    state["counter"] = state["counter"].snapshot()
-    return state
+AGENT_ATTRIBUTES = {"model", "config", "provider", "actions"}
 
 
-def test_reset_clears_episode_state_but_keeps_learning(assay):
+def test_agent_holds_only_what_it_was_built_with(assay):
     first, result, _ = assay_episode(assay)
     _, model, config = first.propagate_refinement(result.events)
     config = dataclasses.replace(config, effect_per_ul=0.25)
     carried = dataclasses.replace(assay, model=model, agent=config)
-    fresh = make_agent(carried)
+    assert set(vars(make_agent(carried))) == AGENT_ATTRIBUTES
 
     agent, _, _ = assay_episode(carried)
-    # an episode writes no attribute that reset does not set ...
-    assert set(vars(agent)) == set(vars(fresh))
-    agent.reset()
-    assert episode_state(agent) == episode_state(fresh)
-    assert agent.planned_volume_ul() == 0.0  # readings gone
+    # an episode writes nothing on the agent ...
+    assert set(vars(agent)) == AGENT_ATTRIBUTES
+    assert not hasattr(agent, "reset")
     # ... and the learned model and config it was given stay as they were
     assert agent.model is model and agent.config is config
-    agent._readings["phProbe"] = 6.9
-    assert agent.planned_volume_ul() == 2.0  # 0.5 pH at 0.25 pH/uL
+    # 0.5 pH at 0.25 pH/uL
+    assert agent.planned_volume_ul([Observation("phProbe", "6.9", 0)]) == 2.0
+
+
+def test_a_step_leaves_its_state_as_it_was(assay):
+    agent = make_agent(assay)
+    env = LabEnv(assay.env, assay.model.channels, seed=42)
+    state, executed, _ = agent.step(EpisodeState(), env.observe(env.spec.start_channel))
+    env.apply(executed)
+    obs = env.observe(agent.actions[executed.name].observes)
+    given = [event_json(e) for e in state.events]
+    counts = state.events[0].op_counts
+    held = dict(counts)
+
+    (one, action_one, event_one), (two, action_two, event_two) = (
+        agent.step(state, obs) for _ in range(2)
+    )
+    assert action_one == action_two
+    assert event_json(event_one) == event_json(event_two)
+    assert [event_json(e) for e in one.events] == [event_json(e) for e in two.events]
+    assert (one.plan, one.cursor) == (two.plan, two.cursor)
+    assert one.prediction.entropy == two.prediction.entropy
+    assert np.array_equal(one.prediction.prior.probs, two.prediction.prior.probs)
+    # the given state, down to its events' op-count dicts, is as it was
+    assert [event_json(e) for e in state.events] == given
+    assert state.events[0].op_counts is counts and counts == held
+    assert event_one.op_counts is not counts and event_one.op_counts["envSteps"] == 2
+
+
+def test_interleaved_episodes_on_one_agent_trace_as_alone(assay):
+    agent = make_agent(assay)
+    seeds = (42, 7)
+    envs = [LabEnv(assay.env, assay.model.channels, seed=seed) for seed in seeds]
+    states = [EpisodeState() for _ in seeds]
+    channels = [env.spec.start_channel for env in envs]
+    while not all(env.is_terminal for env in envs):
+        for i, env in enumerate(envs):
+            if env.is_terminal:
+                continue
+            states[i], executed, _ = agent.step(states[i], env.observe(channels[i]))
+            env.apply(executed)
+            channels[i] = agent.actions[executed.name].observes
+    assert all(len(state.events) >= 2 for state in states)
+    for seed, state in zip(seeds, states):
+        alone, _ = run_episode(agent, LabEnv(assay.env, assay.model.channels, seed=seed))
+        assert emit_trace(state.events, scenario="lab_assay", seed=seed, provider="tabular") == (
+            emit_trace(alone.events, scenario="lab_assay", seed=seed, provider="tabular")
+        )
 
 
 def test_max_steps_one_truncates(assay):
@@ -279,19 +317,25 @@ def test_run_episode_rejects_negative_max_steps(assay):
 
 def test_planned_volume_from_a_measured_acidic_reading(assay):
     agent = make_agent(assay)
-    agent.step(Observation("phProbe", "6.2", 0))
-    assert agent.planned_volume_ul() == 6.0
+    state, _, _ = agent.step(EpisodeState(), Observation("phProbe", "6.2", 0))
+    assert agent.planned_volume_ul(state.history) == 6.0
+
+
+def probe(*outcomes):
+    return [Observation("phProbe", outcome, t) for t, outcome in enumerate(outcomes)]
 
 
 def test_planned_volume_edge_cases(assay):
     agent = make_agent(assay)
-    assert agent.planned_volume_ul() == 0.0  # refuses to dose blind
-    agent._readings["phProbe"] = 7.5
-    assert agent.planned_volume_ul() == 0.0  # already past target
-    agent._readings["phProbe"] = 6.25
-    assert agent.planned_volume_ul() == round((7.4 - 6.25) / 0.2 / 0.5) * 0.5 == 6.0
-    agent._readings["phProbe"] = 7.39
-    assert agent.planned_volume_ul() == 0.0  # deficit rounds below one step
+    assert agent.planned_volume_ul(()) == 0.0  # refuses to dose blind
+    assert agent.planned_volume_ul(probe("7.5")) == 0.0  # already past target
+    six = round((7.4 - 6.25) / 0.2 / 0.5) * 0.5
+    assert agent.planned_volume_ul(probe("7.5", "6.25")) == six == 6.0
+    assert agent.planned_volume_ul(probe("6.25", "7.39")) == 0.0  # deficit rounds below one step
+    # the latest numeric probe reading counts; other channels and text do not
+    history = [*probe("6.2"), Observation("indicatorColor", "7.39", 1),
+               Observation("phProbe", "n/a", 2)]
+    assert agent.planned_volume_ul(history) == 6.0
 
 
 def event_for_effect(step, channel, outcome, primitive="measure", params=None):
@@ -437,8 +481,9 @@ def test_planner_refinement_returns_the_measured_effect(assay):
     assert agent.config is assay.agent
     # the next agent doses with the measured effect
     nxt = make_agent(assay, config=config)
-    nxt.step(Observation("phProbe", "6.2", 0))
-    assert nxt.planned_volume_ul() == round(1.2 / config.effect_per_ul / 0.5) * 0.5 == 6.0
+    state, _, _ = nxt.step(EpisodeState(), Observation("phProbe", "6.2", 0))
+    volume = nxt.planned_volume_ul(state.history)
+    assert volume == round(1.2 / config.effect_per_ul / 0.5) * 0.5 == 6.0
 
 
 def test_carried_learning_keeps_vfe_equal_to_surprise(assay):
@@ -562,7 +607,7 @@ def hazard_scenario():
 def test_veto_rejects_the_efe_winner():
     model, actions, config = hazard_scenario()
     agent = Agent(model, config, TabularProvider(model), actions)
-    _, event = agent.step(Observation("meter", "m0", 0))
+    _, _, event = agent.step(EpisodeState(), Observation("meter", "m0", 0))
 
     totals = {row.policy: row.total for row in event.efe_table}
     assert totals["poke_once"] < totals["hold"]  # the veto had to matter
@@ -581,7 +626,7 @@ def test_all_candidates_vetoed_falls_back_without_selection():
     model, actions, config = hazard_scenario()
     config = dataclasses.replace(config, veto_probability=0.1)
     agent = Agent(model, config, TabularProvider(model), actions)
-    _, event = agent.step(Observation("meter", "m0", 0))
+    _, _, event = agent.step(EpisodeState(), Observation("meter", "m0", 0))
 
     assert event.selected_policy is None
     assert all(row.vetoed for row in event.efe_table)
@@ -610,7 +655,7 @@ def test_each_replan_rolls_out_each_candidate_once(assay):
     # the veto reads the candidates' rollouts instead of rolling out again
     model, actions, config = hazard_scenario()
     agent = Agent(model, config, TabularProvider(model), actions)
-    _, event = agent.step(Observation("meter", "m0", 0))
+    _, _, event = agent.step(EpisodeState(), Observation("meter", "m0", 0))
     assert any(row.vetoed for row in event.efe_table)
     assert_one_rollout_per_candidate([event], model, config)
 
@@ -659,10 +704,10 @@ def test_mixed_horizon_table_and_vetoes_match_per_policy_checks():
 def test_replanning_only_on_error_bootstrap_or_exhaustion():
     model, actions, config = hazard_scenario()
     agent = Agent(model, config, TabularProvider(model), actions)
-    _, first = agent.step(Observation("meter", "m0", 0))
+    state, _, first = agent.step(EpisodeState(), Observation("meter", "m0", 0))
     assert first.selected_policy is not None  # bootstrap replans
     # horizon-1 plan is exhausted immediately, so the next step replans too
-    _, second = agent.step(Observation("meter", "m1", 1))
+    _, _, second = agent.step(state, Observation("meter", "m1", 1))
     assert second.selected_policy is not None
     assert second.efe_table
 
@@ -809,12 +854,12 @@ def test_an_episode_builds_one_predictive_per_step_plus_one(assay, monkeypatch, 
 
 def test_a_step_on_another_channel_scores_against_the_pushed_prior(assay):
     agent = make_agent(assay)
-    _, first = agent.step(Observation("indicatorColor", "yellow", 0))
+    state, _, first = agent.step(EpisodeState(), Observation("indicatorColor", "yellow", 0))
     sent = prediction_of(first)
     assert sent["channel"] == "phProbe"  # the plan measures next
 
     # a caller reads the indicator again instead of the predicted probe
-    _, second = agent.step(Observation("indicatorColor", "yellow", 1))
+    _, _, second = agent.step(state, Observation("indicatorColor", "yellow", 1))
     q, entropy = prior_predictive_by_sums(
         assay.model, first.belief.probs, first.action, "indicatorColor"
     )

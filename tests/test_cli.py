@@ -134,6 +134,28 @@ def test_validate_addresses_an_out_of_range_agent_value(tmp_path, capsys, key, v
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("key, value, rule", [
+    ("volume_ml", "0", "positive"),  # was a ZeroDivisionError in a titration
+    ("probe_sd", "-1", ">= 0"),  # was numpy's "scale < 0"
+    ("effect_sd_per_ul", "-0.01", ">= 0"),
+    ("volume_ml", "nan", "positive"),  # was a silent run
+    ("spill_prob_over_rate", "nan", "in [0, 1]"),
+])
+def test_out_of_range_environment_value_fails_validate_and_run(tmp_path, capsys, command,
+                                                               key, value, rule):
+    text = pathlib.Path(builtin_scenario_path("lab_assay")).read_text(encoding="utf-8")
+    broken, count = re.subn(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+    assert count == 1
+    path = tmp_path / "bad_env.ini"
+    path.write_text(broken, encoding="utf-8")
+    seed = ["--seed", "42"] if command == "run" else []
+    assert main([command, "--scenario", str(path), *seed]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: bad_env: [environment] {key}: {key} must be {rule}\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
 def test_decreasing_numeric_channel_fails_validate_as_run_does(tmp_path, capsys, command):
     text = pathlib.Path(builtin_scenario_path("lab_assay")).read_text(encoding="utf-8")
     for line, broken in [("spillDetector = negative positive", "spillDetector = 1 0"),
@@ -164,6 +186,17 @@ def test_bad_usage_exits_2():
     with pytest.raises(SystemExit) as err:
         main(["sweep", "--scenario", "lab_assay", "--seeds", "5..1"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("seed", ["-1", "x", "1.5"])
+def test_seed_must_be_a_non_negative_integer(capsys, seed):
+    with pytest.raises(SystemExit) as err:
+        main(["run", "--scenario", "lab_assay", "--seed", seed])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --seed: expected a non-negative integer, got '{seed}'" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_sweep_summary(tmp_path, capsys):

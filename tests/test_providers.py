@@ -163,15 +163,23 @@ def canned(probs, labels=("ph_ok", "ph_acidic", "spill", "restarted"), rationale
 
 def test_scripted_replays_in_order_and_exhausts(assay):
     provider = ScriptedProvider([canned([0.1, 0.9, 0, 0]), canned([0.6, 0.4, 0, 0])])
-    query = query_for(assay.model, Observation("indicatorColor", "yellow", 0))
-    first = provider.infer(query)
-    second = provider.infer(query)
+    history = [Observation("indicatorColor", "yellow", t) for t in range(3)]
+    queries = [query_for(assay.model, *history[:n]) for n in (1, 2, 3)]
+    # response k answers the history of k + 1 observations, in any order
+    # and as often as it is asked
+    second = provider.infer(queries[1])
+    first = provider.infer(queries[0])
     assert first.proposed_posterior.prob("ph_acidic") == pytest.approx(0.9)
     assert second.proposed_posterior.prob("ph_acidic") == pytest.approx(0.4)
+    assert provider.infer(queries[0]) is first and provider.infer(queries[1]) is second
     with pytest.raises(ReplayExhaustedError) as err:
-        provider.infer(query)
+        provider.infer(queries[2])
     assert isinstance(err.value, ProviderError)
     assert "after 2 responses" in str(err.value)
+    assert provider.infer(queries[0]) is first  # exhaustion leaves nothing behind
+    with pytest.raises(ProviderError, match="empty history") as err:
+        provider.infer(query_for(assay.model))
+    assert not isinstance(err.value, ReplayExhaustedError)
 
 
 def test_scripted_save_and_load_round_trip(tmp_path, assay):
@@ -496,20 +504,8 @@ def test_scripted_sweep_replays_the_script_for_every_seed(tmp_path, capsys, monk
     pairs = sweep_traces_against_runs(monkeypatch, tmp_path, ref, range(1, 6))
     for swept, alone in pairs:
         assert swept == alone
-        # a provider that was not rewound would run out of script
+        # every seed's step k is answered by response k of the script
         assert '"providerError": null' in swept and "exhausted" not in swept
-
-
-def test_scripted_reset_rewinds_the_cursor():
-    first, second = (
-        WorldModelResponse(normalize([1.0, 0.0], ("a", "b"))),
-        WorldModelResponse(normalize([0.0, 1.0], ("a", "b"))),
-    )
-    provider = ScriptedProvider([first, second])
-    query = WorldModelQuery((), normalize([0.5, 0.5], ("a", "b")))
-    assert provider.infer(query) is first
-    provider.reset()
-    assert [provider.infer(query), provider.infer(query)] == [first, second]
 
 
 def test_import_loads_the_http_stack_only_for_a_remote_provider(stub):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from actinf.errors import ScenarioError
+from actinf.lab import ENV_RANGES
 from actinf.scenario import (
     FALLBACK_POLICY,
     builtin_scenario_path,
@@ -163,6 +164,34 @@ def test_out_of_range_agent_values_are_addressed(key, value, rule):
 def test_nan_agent_values_are_out_of_range(key):
     with pytest.raises(ScenarioError, match=rf"^inline: \[agent\] {key}: {key} must be "):
         load_scenario(with_line("agent", f"{key} = nan"))
+
+
+# out-of-range values of EnvSpec, one for each kind of range check
+ENV_RANGE_CASES = [
+    ("volume_ml", "0", "volume_ml must be positive"),
+    ("probe_sd", "-1", "probe_sd must be >= 0"),
+    ("effect_sd_per_ul", "-0.01", "effect_sd_per_ul must be >= 0"),
+    ("spill_prob_over_rate", "1.5", "spill_prob_over_rate must be in [0, 1]"),
+    ("max_safe_rate_ul_per_s", "0", "max_safe_rate_ul_per_s must be positive"),
+    ("measure_minutes", "-0.5", "measure_minutes must be >= 0"),
+    ("noise_scale", "-1", "noise_scale must be >= 0"),
+    ("initial_ph", "15", "initial_ph must be in [0, 14]"),
+    ("denature_factor", "2", "denature_factor must be in [0, 1]"),
+    ("heat_c_per_min", "inf", "heat_c_per_min must be finite"),
+]
+
+
+@pytest.mark.parametrize("key, value, rule", ENV_RANGE_CASES)
+def test_out_of_range_environment_values_are_addressed(key, value, rule):
+    with pytest.raises(ScenarioError) as info:
+        load_scenario(with_line("environment", f"{key} = {value}"))
+    assert str(info.value) == f"inline: [environment] {key}: {rule}"
+
+
+@pytest.mark.parametrize("key", [key for key, _, _ in ENV_RANGES])
+def test_nan_environment_values_are_out_of_range(key):
+    with pytest.raises(ScenarioError, match=rf"^inline: \[environment\] {key}: {key} must be "):
+        load_scenario(with_line("environment", f"{key} = nan"))
 
 
 def test_spec_values_are_read_as_their_field_type():

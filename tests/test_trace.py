@@ -16,7 +16,6 @@ from actinf.trace import (
     SCHEMA,
     FreeEnergyLedger,
     LedgerRow,
-    OpCounter,
     TraceEvent,
     build_ledger,
     emit_ledger,
@@ -61,11 +60,10 @@ def pe_message(step=0):
 
 
 def test_counter_snapshot_key_order():
-    counter = OpCounter(belief_updates=1, env_steps=4)
-    snap = counter.snapshot()
-    assert tuple(snap) == COUNTER_KEYS
-    assert snap["beliefUpdates"] == 1
-    assert snap["envSteps"] == 4
+    _, docs = read_trace(str(DATA / "golden_trace_seed42.jsonl"))
+    for doc in docs:
+        assert tuple(doc["opCounts"]) == COUNTER_KEYS
+    assert docs[-1]["opCounts"]["envSteps"] == len(docs)
 
 
 def test_event_rejects_selection_without_table():
@@ -167,7 +165,7 @@ def test_empty_trace_gives_empty_ledger():
 
 
 def test_render_ledger_layout_and_determinism(tmp_path):
-    events = [make_event(0, vfe_total=1.5, op_counts=OpCounter(1, 4, 8, 1, 1).snapshot())]
+    events = [make_event(0, vfe_total=1.5, op_counts=dict(zip(COUNTER_KEYS, (1, 4, 8, 1, 1))))]
     ledger, text = emit_ledger(events, baseline=0.5, path=str(tmp_path / "l.txt"))
     assert (tmp_path / "l.txt").read_text(encoding="utf-8") == text
     lines = text.splitlines()
