@@ -15,7 +15,8 @@ Each step runs bottom-up then top-down:
                 clears a rolling baseline plus the threshold.
   planner       asks the world-model provider for a posterior, and on a
                 prediction error (or with no live plan) re-scores the
-                candidate policies by expected free energy.
+                candidate policies by expected free energy; the model
+                scores each distinct (config, belief) pair once.
   executive     vetoes any winning policy that makes a near-forbidden
                 outcome too likely and confirms the survivor.
 
@@ -62,7 +63,10 @@ CONFIG_RANGES = (
     ("vfe_baseline_window", lambda v: v >= 1, ">= 1"),
     ("max_candidates", lambda v: v >= 1, ">= 1"),
     ("refinement_threshold", lambda v: v >= 0, ">= 0"),
+    ("veto_outcome_mass", lambda v: 0 <= v <= 1, "in [0, 1]"),
     ("veto_probability", lambda v: 0 < v <= 1, "in (0, 1]"),
+    ("target_ph", lambda v: 0 <= v <= 14, "in [0, 14]"),
+    ("effect_per_ul", lambda v: v > 0, "positive"),
     ("pipette_step_ul", lambda v: v > 0, "positive"),
     ("indicator_reliability_lr", lambda v: 0 <= v <= 1, "in [0, 1]"),
 )
@@ -278,14 +282,18 @@ class Agent:
         return response.proposed_posterior, None
 
     def _replan(self, posterior: CategoricalDistribution, send, counts: dict):
-        candidates = enumerate_policies(
-            self.model, self.config.planning_horizon, self.config.max_candidates
+        """Pick the lowest-EFE candidate the executive does not veto.
+
+        The model scores each distinct (config, belief) pair once: a
+        repeat reads the EFE table and veto flags back from its memo.
+        ``opCounts`` count the replan's defined work either way, one
+        rollout and one EFE evaluation of every candidate.
+        """
+        candidates, table, vetoes, rows = self.model.memoized(
+            (self.config, posterior.probs.tobytes()), lambda: self._score(posterior)
         )
-        plan = rollout(self.model, posterior, candidates)
-        table = expected_free_energy(self.model, plan)
-        vetoes = self._vetoes(plan)
         counts["efeEvaluations"] += len(candidates)
-        counts["rolloutSteps"] += len(plan.states)
+        counts["rolloutSteps"] += rows
         totals = [row.total for row in table]
         allowed = [True] * len(candidates)
         chosen = None
@@ -311,6 +319,20 @@ class Agent:
             b if ok else replace(b, vetoed=True) for b, ok in zip(table, allowed)
         )
         return policy, selected, marked
+
+    def _score(self, posterior: CategoricalDistribution):
+        """Roll out every candidate once and score the rollouts.
+
+        Returns the candidates, their EFE table, their read-only veto
+        flags and the number of rollout rows.
+        """
+        candidates = enumerate_policies(
+            self.model, self.config.planning_horizon, self.config.max_candidates
+        )
+        plan = rollout(self.model, posterior, candidates)
+        vetoes = self._vetoes(plan)
+        vetoes.flags.writeable = False
+        return candidates, expected_free_energy(self.model, plan), vetoes, len(plan.states)
 
     def _vetoes(self, plan) -> np.ndarray:
         """Executive safety check: one flag per rolled-out candidate.
@@ -382,11 +404,13 @@ class Agent:
 
         if errors["planner"] >= theta:
             observed = titration_effect(events)
-            if observed is not None:
+            if observed is None:
+                note = "no post-titration probe reading; nominal effect retained"
+            elif not observed > 0:
+                note = f"measured effect {observed!r} is not a rise; nominal effect retained"
+            else:
                 config = replace(config, effect_per_ul=observed)
                 note = "per-microliter effect replaced by the measured rise"
-            else:
-                note = "no post-titration probe reading; nominal effect retained"
             summaries.append(
                 RefinementSummary(
                     level="planner",

@@ -21,6 +21,9 @@ from .errors import ShapeError
 # applied before per-channel normalization.
 VIOLATION_MASS = 0.01
 
+# The most values one model's memo keeps; past that the oldest is dropped.
+MEMO_SIZE = 256
+
 
 def _matrix(values, rows: int, cols: int, what: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
@@ -179,7 +182,15 @@ class StackedOutcomes:
 
 @dataclass(frozen=True)
 class GenerativeModel:
-    """Everything the agent believes about the task, in one bundle."""
+    """Everything the agent believes about the task, in one bundle.
+
+    A model is a value: besides its components it holds only what it
+    derives from them, the ``stacked`` planner arrays and the ``memo``
+    of computed results (the agent scores each distinct (config,
+    belief) pair once per model). A model built from another, by
+    ``dataclasses.replace`` or by refinement, starts without either,
+    so nothing computed under other parameters is ever served.
+    """
 
     states: tuple[str, ...]
     actions: tuple[str, ...]
@@ -206,6 +217,27 @@ class GenerativeModel:
             c=_frozen(np.concatenate([self.c.channel_priors[ch].probs for ch in self.channels])),
             log_c=_frozen(np.concatenate([self.c.log_prior(ch) for ch in self.channels])),
         )
+
+    @cached_property
+    def memo(self) -> dict:
+        """What ``memoized`` computed for this model, by key, oldest first."""
+        return {}
+
+    def memoized(self, key, compute):
+        """``compute()``'s value for the hashable ``key``, computed once.
+
+        The value must depend only on this model and ``key``, and must
+        not be None. At most MEMO_SIZE values are kept; past that, the
+        oldest is dropped.
+        """
+        memo = self.memo
+        value = memo.get(key)
+        if value is None:
+            value = compute()
+            if len(memo) >= MEMO_SIZE:
+                del memo[next(iter(memo))]
+            memo[key] = value
+        return value
 
     def policy(self, label: str) -> Policy:
         for p in self.policies:

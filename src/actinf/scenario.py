@@ -420,6 +420,8 @@ def load_scenario(path_or_text, name: str = "") -> Scenario:
         raise ScenarioError(f"{name}: fallback policy {agent.fallback_policy!r} not declared")
     if env.start_channel not in channels:
         raise ScenarioError(f"{name}: start channel {env.start_channel!r} not declared")
+    if agent.probe_channel not in channels:
+        doc.fail("agent", "probe_channel", f"unknown channel {agent.probe_channel!r}")
     return Scenario(name=name, model=model, env=env, actions=actions, agent=agent)
 
 

@@ -21,6 +21,7 @@ from actinf.errors import ModelValidationError, ProviderError, ShapeError
 from actinf.inference import VfeReport
 from actinf.lab import ActionSpec, EnvSpec, LabEnv, LabState, Observation
 from actinf.model import (
+    MEMO_SIZE,
     GenerativeModel,
     ObservationModel,
     Policy,
@@ -73,6 +74,8 @@ def test_config_rejects_bad_values():
         AgentConfig(refinement_threshold=-0.5)
     with pytest.raises(ModelValidationError):
         AgentConfig(indicator_reliability_lr=1.5)
+    with pytest.raises(ModelValidationError, match="effect_per_ul must be positive"):
+        dataclasses.replace(AgentConfig(), effect_per_ul=-0.1)
 
 
 def test_messages_enforce_direction_kind_discipline():
@@ -486,6 +489,22 @@ def test_planner_refinement_returns_the_measured_effect(assay):
     assert volume == round(1.2 / config.effect_per_ul / 0.5) * 0.5 == 6.0
 
 
+@pytest.mark.parametrize("post", ["6.0", "6.2"])
+def test_planner_refinement_keeps_the_nominal_effect_without_a_rise(assay, post):
+    # a falling or flat reading measures no positive effect_per_ul
+    events = [
+        event_for_effect(0, "phProbe", "6.2", "titrate", {"volume_ul": 6.0}),
+        event_for_effect(1, "phProbe", post),
+    ]
+    events = [dataclasses.replace(e, vfe=VfeReport(1.0, 0.0, 1.0)) for e in events]
+    assert titration_effect(events) <= 0
+    summaries, _, config = make_agent(assay).propagate_refinement(events)
+    (planner,) = summaries
+    assert planner.old == planner.new == 0.2
+    assert config is assay.agent
+    assert "is not a rise; nominal effect retained" in planner.note
+
+
 def test_carried_learning_keeps_vfe_equal_to_surprise(assay):
     """Agent and provider built from one carried model agree at every step."""
     model, config = assay.model, assay.agent
@@ -710,6 +729,102 @@ def test_replanning_only_on_error_bootstrap_or_exhaustion():
     _, _, second = agent.step(state, Observation("meter", "m1", 1))
     assert second.selected_policy is not None
     assert second.efe_table
+
+
+# -- one score per distinct (config, belief) per model -------------------
+
+
+def sweep_traces(scenario, seeds):
+    """Each seed's trace, every episode run on the one given scenario."""
+    traces = {}
+    for seed in seeds:
+        _, result, _ = assay_episode(scenario, seed=seed)
+        traces[seed] = emit_trace(result.events, scenario=scenario.name, seed=seed,
+                                  provider="tabular")
+    return traces
+
+
+def test_a_sweep_rolls_out_each_distinct_belief_once(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return rollout(*args)
+
+    monkeypatch.setattr("actinf.agent.rollout", counting)
+    shared = resolve_scenario("lab_assay")
+    traces = sweep_traces(shared, range(1, 101))
+    # step 0 reads yellow under D; step 2's belief follows the probe
+    # reading, which snaps to 6.1, 6.2 or 6.3
+    assert len(calls) == len(shared.model.memo) == 4
+    assert not any(vetoes.flags.writeable for _, _, vetoes, _ in shared.model.memo.values())
+    for seed, trace in traces.items():
+        assert trace == sweep_traces(resolve_scenario("lab_assay"), [seed])[seed], seed
+
+
+def test_sweep_order_does_not_change_a_trace():
+    shared = resolve_scenario("lab_assay")
+    forward = sweep_traces(shared, range(1, 21))
+    # again on the warm model, and on a fresh one that meets the seeds reversed
+    assert sweep_traces(shared, range(20, 0, -1)) == forward
+    assert sweep_traces(resolve_scenario("lab_assay"), range(20, 0, -1)) == forward
+
+
+def test_agents_sharing_a_model_get_their_own_config_scores():
+    model, actions, config = hazard_scenario()
+    # no declared policies, so the horizon decides the candidates
+    shared = dataclasses.replace(model, policies=())
+    variants = [
+        config,
+        dataclasses.replace(config, veto_probability=0.5),
+        dataclasses.replace(config, veto_outcome_mass=0.05),
+        dataclasses.replace(config, planning_horizon=2),
+    ]
+    obs = Observation("meter", "m0", 0)
+    flags = set()
+    for variant in variants:
+        got = Agent(shared, variant, TabularProvider(shared), actions).step(EpisodeState(), obs)[2]
+        fresh = dataclasses.replace(model, policies=())
+        want = Agent(fresh, variant, TabularProvider(fresh), actions).step(EpisodeState(), obs)[2]
+        assert [(row, row.vetoed) for row in got.efe_table] == [
+            (row, row.vetoed) for row in want.efe_table
+        ]
+        assert got.messages == want.messages
+        flags.add(tuple(row.vetoed for row in got.efe_table))
+    assert len(shared.memo) == len(variants)
+    assert len(flags) == 3  # the variants score differently
+
+
+class DriftingProvider(WorldModelProvider):
+    """A posterior that moves with every observation, so no belief repeats."""
+
+    name = "drifting"
+
+    def infer(self, query):
+        k = len(query.observation_history)
+        return WorldModelResponse(normalize([1.0, float(k)], query.current_belief.labels))
+
+
+def test_the_memo_never_outgrows_its_bound():
+    model, actions, config = hazard_scenario()
+    agent = Agent(model, config, DriftingProvider(), actions)
+    state, keys = EpisodeState(), []
+    for t in range(MEMO_SIZE + 10):
+        # horizon-1 plans: every step replans, from a belief never seen before
+        state, _, event = agent.step(state, Observation("meter", "m0", t))
+        assert event.efe_table
+        keys.append((config, event.belief.probs.tobytes()))
+        assert len(model.memo) == min(t + 1, MEMO_SIZE)
+    # the oldest beliefs went first
+    assert list(model.memo) == keys[-MEMO_SIZE:]
+
+
+def test_a_refined_model_starts_with_an_empty_memo(assay):
+    agent, result, _ = assay_episode(assay)
+    assert assay.model.memo
+    _, model, _ = agent.propagate_refinement(result.events)
+    assert model is not assay.model
+    assert model.memo == {}
 
 
 # -- degenerate world: nothing is ever surprising ------------------------

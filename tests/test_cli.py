@@ -156,6 +156,29 @@ def test_out_of_range_environment_value_fails_validate_and_run(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("key, value, rule", [
+    ("effect_per_ul", "0", "effect_per_ul must be positive"),  # was a ZeroDivisionError
+    ("effect_per_ul", "nan", "effect_per_ul must be positive"),  # was a ValueError
+    ("effect_per_ul", "-0.2", "effect_per_ul must be positive"),  # was an exit 2 from LabEnv
+    ("target_ph", "nan", "target_ph must be in [0, 14]"),
+    ("veto_outcome_mass", "nan", "veto_outcome_mass must be in [0, 1]"),  # was no veto
+    ("veto_outcome_mass", "-1", "veto_outcome_mass must be in [0, 1]"),
+    ("probe_channel", "phprobe", "unknown channel 'phprobe'"),  # was a dose never taken
+])
+def test_bad_agent_value_fails_validate_and_run(tmp_path, capsys, command, key, value, rule):
+    text = pathlib.Path(builtin_scenario_path("lab_assay")).read_text(encoding="utf-8")
+    broken, count = re.subn(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+    assert count == 1
+    path = tmp_path / "bad_agent.ini"
+    path.write_text(broken, encoding="utf-8")
+    seed = ["--seed", "42"] if command == "run" else []
+    assert main([command, "--scenario", str(path), *seed]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: bad_agent: [agent] {key}: {rule}\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
 def test_decreasing_numeric_channel_fails_validate_as_run_does(tmp_path, capsys, command):
     text = pathlib.Path(builtin_scenario_path("lab_assay")).read_text(encoding="utf-8")
     for line, broken in [("spillDetector = negative positive", "spillDetector = 1 0"),

@@ -123,6 +123,13 @@ def test_unknown_agent_key_is_addressed():
         load_scenario(broken)
 
 
+def test_undeclared_probe_channel_is_addressed():
+    # the dose would never find a reading, and every seed would hand off
+    with pytest.raises(ScenarioError) as info:
+        load_scenario(MINIMAL.replace("probe_channel = indicator", "probe_channel = phprobe"))
+    assert str(info.value) == "inline: [agent] probe_channel: unknown channel 'phprobe'"
+
+
 def with_line(section: str, line: str) -> str:
     """MINIMAL with one more line at the top of ``[section]``."""
     return MINIMAL.replace(f"[{section}]\n", f"[{section}]\n{line}\n")
@@ -145,7 +152,10 @@ AGENT_RANGE_CASES = [
     ("vfe_baseline_window", "0", "vfe_baseline_window must be >= 1"),
     ("max_candidates", "0", "max_candidates must be >= 1"),
     ("refinement_threshold", "-0.5", "refinement_threshold must be >= 0"),
+    ("veto_outcome_mass", "-1", "veto_outcome_mass must be in [0, 1]"),
     ("veto_probability", "0", "veto_probability must be in (0, 1]"),
+    ("target_ph", "15", "target_ph must be in [0, 14]"),
+    ("effect_per_ul", "0", "effect_per_ul must be positive"),
     ("pipette_step_ul", "0", "pipette_step_ul must be positive"),
     ("indicator_reliability_lr", "1.5", "indicator_reliability_lr must be in [0, 1]"),
 ]
@@ -158,9 +168,10 @@ def test_out_of_range_agent_values_are_addressed(key, value, rule):
     assert str(info.value) == f"inline: [agent] {key}: {rule}"
 
 
-@pytest.mark.parametrize(
-    "key", ["refinement_threshold", "veto_probability", "pipette_step_ul", "indicator_reliability_lr"]
-)
+@pytest.mark.parametrize("key", [
+    "refinement_threshold", "veto_outcome_mass", "veto_probability", "target_ph",
+    "effect_per_ul", "pipette_step_ul", "indicator_reliability_lr",
+])
 def test_nan_agent_values_are_out_of_range(key):
     with pytest.raises(ScenarioError, match=rf"^inline: \[agent\] {key}: {key} must be "):
         load_scenario(with_line("agent", f"{key} = nan"))
