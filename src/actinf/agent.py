@@ -29,9 +29,13 @@ computing it again, and the ``expectedSurprise`` of step t+1 is the
 ``entropy`` that step t sent. The initial state prior is used only
 before the first observation.
 
-After an episode ``Agent.propagate_refinement`` returns a refined
-(model, config) and changes nothing; a caller that carries learning
-builds the next agent and provider from them.
+The replan's scores, the pushed prediction and the predictive a step
+scores against depend on (model, belief) alone; the model computes
+each once and memoizes it. The provider is asked on every step.
+
+After an episode ``Agent.propagate_refinement`` returns the summaries
+and a refined (model, config) and changes nothing; a caller that
+reports or carries learning calls it with the episode's events.
 """
 
 from __future__ import annotations
@@ -151,7 +155,6 @@ class EpisodeResult:
     steps: int
     final_state: LabState
     events: tuple[TraceEvent, ...]
-    refinements: tuple[RefinementSummary, ...]
 
 
 class Agent:
@@ -197,12 +200,11 @@ class Agent:
 
         held = state.prediction
         prior = held.prior if held else self.model.d
-        if held and held.channel == obs.channel:
-            predictive, expected_surprise = held.predictive, held.entropy
-        else:
+        if held is None or held.channel != obs.channel:
             # the first step, or a caller reading another channel than predicted
-            predictive = self.model.a.predictive(obs.channel, prior.probs)
-            expected_surprise = predictive.entropy()
+            held = self.model.memoized(("predict", prior.probs.tobytes(), obs.channel),
+                                       lambda: self._predict(prior.probs, obs.channel))
+        predictive, expected_surprise = held.predictive, held.entropy
         observed_surprise = surprise(obs.outcome, predictive)
         excess = max(0.0, observed_surprise - expected_surprise)
         window = [
@@ -238,15 +240,13 @@ class Agent:
             overrides["volume_ul"] = self.planned_volume_ul(history)
         executed = spec.bind(**overrides)
 
-        next_prior = CategoricalDistribution(
-            self.model.states, self.model.b.push(posterior.probs, action_label)
+        # keyed on the channel too: ``actions`` is the agent's, not the model's
+        prediction = self.model.memoized(
+            ("push", posterior.probs.tobytes(), action_label, spec.observes),
+            lambda: self._predict(self.model.b.push(posterior.probs, action_label), spec.observes),
         )
-        next_predictive = self.model.a.predictive(spec.observes, next_prior.probs)
-        prediction = Prediction(
-            next_prior, spec.observes, next_predictive, next_predictive.entropy()
-        )
-        send("top-down", "prediction", channel=spec.observes, mode=next_predictive.mode(),
-             entropy=prediction.entropy)
+        send("top-down", "prediction", channel=spec.observes,
+             mode=prediction.predictive.mode(), entropy=prediction.entropy)
 
         event = TraceEvent(
             step=step_i,
@@ -280,6 +280,12 @@ class Agent:
             return prior, str(exc)
         counts["beliefUpdates"] += 1
         return response.proposed_posterior, None
+
+    def _predict(self, state_probs: np.ndarray, channel: str) -> Prediction:
+        """What a belief with these state probabilities predicts of ``channel``."""
+        prior = CategoricalDistribution(self.model.states, state_probs)
+        predictive = self.model.a.predictive(channel, prior.probs)
+        return Prediction(prior, channel, predictive, predictive.entropy())
 
     def _replan(self, posterior: CategoricalDistribution, send, counts: dict):
         """Pick the lowest-EFE candidate the executive does not veto.
@@ -502,9 +508,9 @@ def run_episode(agent: Agent, env, max_steps: int = 20) -> tuple[EpisodeResult, 
 
     The steps fold one ``EpisodeState`` from ``EpisodeState()``.
     Exhausting ``max_steps`` truncates the episode (outcome
-    "truncated"). The result keeps only the refinement summaries; call
-    ``agent.propagate_refinement(result.events)`` for the refined
-    (model, config).
+    "truncated"). Nothing is refined here; call
+    ``agent.propagate_refinement(result.events)`` for the summaries and
+    the refined (model, config).
     """
     if max_steps < 0:
         raise ShapeError(f"max_steps must be >= 0, got {max_steps}")
@@ -517,14 +523,11 @@ def run_episode(agent: Agent, env, max_steps: int = 20) -> tuple[EpisodeResult, 
         env.apply(executed)
         channel = agent.actions[executed.name].observes
     events = state.events
-    outcome = env.terminal_outcome or "truncated"
-    refinements, _, _ = agent.propagate_refinement(events)
     ledger = build_ledger(events, baseline=float(agent.model.d.entropy()))
     result = EpisodeResult(
-        outcome=outcome,
+        outcome=env.terminal_outcome or "truncated",
         steps=len(events),
         final_state=env.state,
         events=events,
-        refinements=refinements,
     )
     return result, ledger

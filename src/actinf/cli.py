@@ -48,7 +48,7 @@ def _seed_range(text: str) -> tuple[int, int]:
 
 
 def _run_one(scenario: Scenario, provider: WorldModelProvider, seed: int, max_steps: int):
-    """One episode on a fresh agent and env; returns (result, ledger).
+    """One sweep episode on a fresh agent and env; returns (result, ledger).
 
     A provider answers each query from the query alone, so one provider
     serves any number of episodes, each traced as if it were the first.
@@ -62,7 +62,9 @@ def _cmd_run(args) -> int:
     scenario = resolve_scenario(args.scenario)
     provider = build_provider(args.provider, scenario)
     try:
-        result, ledger = _run_one(scenario, provider, args.seed, args.max_steps)
+        agent = Agent(scenario.model, scenario.agent, provider, scenario.actions)
+        env = LabEnv(scenario.env, scenario.model.channels, seed=args.seed)
+        result, ledger = run_episode(agent, env, max_steps=args.max_steps)
     finally:
         provider.close()
     state = result.final_state
@@ -71,7 +73,8 @@ def _cmd_run(args) -> int:
         f"elapsed_min={state.elapsed_min:.2f} final_ph={state.ph:.3f} "
         f"spill={state.spill} reagent_ul={state.reagent_used_ul:g}"
     )
-    for r in result.refinements:
+    # what the episode taught; a run carries no learning to another episode
+    for r in agent.propagate_refinement(result.events)[0]:
         print(f"refined {r.level}: {r.parameter} {r.old:.6g} -> {r.new:.6g} ({r.note})")
     if args.trace:
         emit_trace(

@@ -417,9 +417,9 @@ def load_scenario(path_or_text, name: str = "") -> Scenario:
         doc.fail("agent", "max_candidates",
                  f"{len(policies)} declared policies exceed the limit of {agent.max_candidates}")
     if agent.fallback_policy not in labels:
-        raise ScenarioError(f"{name}: fallback policy {agent.fallback_policy!r} not declared")
+        doc.fail("agent", "fallback_policy", f"unknown policy {agent.fallback_policy!r}")
     if env.start_channel not in channels:
-        raise ScenarioError(f"{name}: start channel {env.start_channel!r} not declared")
+        doc.fail("environment", "start_channel", f"unknown channel {env.start_channel!r}")
     if agent.probe_channel not in channels:
         doc.fail("agent", "probe_channel", f"unknown channel {agent.probe_channel!r}")
     return Scenario(name=name, model=model, env=env, actions=actions, agent=agent)

@@ -1,15 +1,19 @@
-"""Regenerate the frozen seed-42 fixtures under tests/data/.
+"""Regenerate the frozen fixtures under tests/data/.
 
 Run manually after an intentional engine change:
 
     python3 tests/make_golden.py
 
 The fixtures pin byte-exact trace/ledger output and the provider
-response script for the bundled assay scenario at seed 42.
+response script for the bundled assay scenario at seed 42, and the
+sha256 of the trace and of the ledger of every seed of a 1..100 sweep
+run in order on one scenario and one provider, as ``actinf sweep``
+runs it.
 """
 
 from __future__ import annotations
 
+import hashlib
 import pathlib
 
 from actinf.agent import Agent, run_episode
@@ -20,6 +24,8 @@ from actinf.trace import emit_trace, render_ledger
 
 DATA = pathlib.Path(__file__).parent / "data"
 SEED = 42
+SWEEP_SEEDS = range(1, 101)
+SWEEP_DIGESTS = DATA / "golden_sweep_1_100.sha256"
 
 
 class RecordingProvider(WorldModelProvider):
@@ -37,6 +43,17 @@ class RecordingProvider(WorldModelProvider):
         response = self.inner.infer(query)
         self.responses.append(response)
         return response
+
+
+def sweep_line(scenario, provider, seed: int) -> str:
+    """``<seed> <sha256 of the trace> <sha256 of the ledger>`` for one episode."""
+    agent = Agent(scenario.model, scenario.agent, provider, scenario.actions)
+    env = LabEnv(scenario.env, scenario.model.channels, seed=seed)
+    result, ledger = run_episode(agent, env)
+    trace = emit_trace(result.events, scenario=scenario.name, seed=seed, provider=provider.name)
+    digests = (hashlib.sha256(text.encode("utf-8")).hexdigest()
+               for text in (trace, render_ledger(ledger)))
+    return f"{seed} {' '.join(digests)}\n"
 
 
 def main() -> None:
@@ -58,6 +75,12 @@ def main() -> None:
         f"wrote {len(result.events)} events, {len(ledger.rows)} ledger rows, "
         f"{len(provider.responses)} scripted responses -> {DATA}"
     )
+
+    shared = resolve_scenario("lab_assay")
+    sweep_provider = TabularProvider(shared.model)
+    lines = [sweep_line(shared, sweep_provider, seed) for seed in SWEEP_SEEDS]
+    SWEEP_DIGESTS.write_text("".join(lines), encoding="utf-8")
+    print(f"wrote {len(lines)} sweep digests -> {SWEEP_DIGESTS}")
 
 
 if __name__ == "__main__":

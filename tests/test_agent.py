@@ -39,6 +39,7 @@ from actinf.providers import (
 from actinf.scenario import resolve_scenario
 from actinf.trace import TraceEvent, emit_trace, event_json, read_trace
 
+from .make_golden import SWEEP_DIGESTS, SWEEP_SEEDS, sweep_line
 from .oracles import efe_by_enumeration, prior_predictive_by_sums, random_model
 
 
@@ -180,7 +181,7 @@ def test_op_counts_accumulate_monotonically(assay):
 
 def test_refinement_is_pure_and_repeatable(assay):
     agent, result, _ = assay_episode(assay)
-    refined = {(r.level, r.parameter): r for r in result.refinements}
+    refined = {(r.level, r.parameter): r for r in agent.propagate_refinement(result.events)[0]}
     assert set(level for level, _ in refined) == {"sensorimotor", "planner"}
 
     sensor = refined[("sensorimotor", "A[indicatorColor][ph_acidic][yellow]")]
@@ -193,7 +194,7 @@ def test_refinement_is_pure_and_repeatable(assay):
 
     # the refined (model, config) come back to the caller ...
     summaries, model, config = agent.propagate_refinement(result.events)
-    assert summaries == result.refinements
+    assert summaries == tuple(refined.values())
     assert model.a.matrices["indicatorColor"][1, 0] == pytest.approx(0.98)
     assert config == assay.agent
     # ... and nothing the agent or its provider holds has moved
@@ -231,7 +232,7 @@ def test_second_episode_reuses_learned_parameters(assay):
     assert posterior_after > posterior_before
     assert abs(second.events[0].vfe.total - second.events[0].surprise) <= 1e-12
     # the second refinement starts where the first one ended
-    sensor = second.refinements[0]
+    sensor = agent.propagate_refinement(second.events)[0][0]
     assert sensor.old == pytest.approx(0.98)
     assert sensor.new == pytest.approx(0.98 + 0.6 * 0.02)
 
@@ -756,10 +757,25 @@ def test_a_sweep_rolls_out_each_distinct_belief_once(monkeypatch):
     traces = sweep_traces(shared, range(1, 101))
     # step 0 reads yellow under D; step 2's belief follows the probe
     # reading, which snaps to 6.1, 6.2 or 6.3
-    assert len(calls) == len(shared.model.memo) == 4
-    assert not any(vetoes.flags.writeable for _, _, vetoes, _ in shared.model.memo.values())
+    memo = shared.model.memo
+    replans = [key for key in memo if isinstance(key[0], AgentConfig)]
+    assert len(calls) == len(replans) == 4
+    assert not any(memo[key][2].flags.writeable for key in replans)
     for seed, trace in traces.items():
         assert trace == sweep_traces(resolve_scenario("lab_assay"), [seed])[seed], seed
+
+
+def test_a_sweep_matches_the_committed_digests():
+    lines = SWEEP_DIGESTS.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert len(lines) == len(SWEEP_SEEDS)
+    # seeds in order on one scenario and one provider, as `actinf sweep`
+    # runs them, and each on a fresh load: the bytes make_golden.py wrote
+    shared = resolve_scenario("lab_assay")
+    provider = TabularProvider(shared.model)
+    for seed, line in zip(SWEEP_SEEDS, lines):
+        assert sweep_line(shared, provider, seed) == line, seed
+        fresh = resolve_scenario("lab_assay")
+        assert sweep_line(fresh, TabularProvider(fresh.model), seed) == line, seed
 
 
 def test_sweep_order_does_not_change_a_trace():
@@ -781,7 +797,7 @@ def test_agents_sharing_a_model_get_their_own_config_scores():
         dataclasses.replace(config, planning_horizon=2),
     ]
     obs = Observation("meter", "m0", 0)
-    flags = set()
+    flags, actions_taken = set(), set()
     for variant in variants:
         got = Agent(shared, variant, TabularProvider(shared), actions).step(EpisodeState(), obs)[2]
         fresh = dataclasses.replace(model, policies=())
@@ -791,7 +807,11 @@ def test_agents_sharing_a_model_get_their_own_config_scores():
         ]
         assert got.messages == want.messages
         flags.add(tuple(row.vetoed for row in got.efe_table))
-    assert len(shared.memo) == len(variants)
+        actions_taken.add(got.action)
+    # one predictive for the shared first observation, one score per
+    # config, one pushed prediction per action taken
+    assert len(shared.memo) == 1 + len(variants) + len(actions_taken)
+    assert actions_taken == {"poke", "wait"}
     assert len(flags) == 3  # the variants score differently
 
 
@@ -808,14 +828,17 @@ class DriftingProvider(WorldModelProvider):
 def test_the_memo_never_outgrows_its_bound():
     model, actions, config = hazard_scenario()
     agent = Agent(model, config, DriftingProvider(), actions)
-    state, keys = EpisodeState(), []
-    for t in range(MEMO_SIZE + 10):
+    state, keys = EpisodeState(), [("predict", model.d.probs.tobytes(), "meter")]
+    for t in range(MEMO_SIZE):
         # horizon-1 plans: every step replans, from a belief never seen before
         state, _, event = agent.step(state, Observation("meter", "m0", t))
         assert event.efe_table
-        keys.append((config, event.belief.probs.tobytes()))
-        assert len(model.memo) == min(t + 1, MEMO_SIZE)
-    # the oldest beliefs went first
+        belief = event.belief.probs.tobytes()
+        keys += [(config, belief), ("push", belief, event.action, "meter")]
+        # the first step also predicts from D; each step adds its scores
+        # and its pushed prediction
+        assert len(model.memo) == min(1 + 2 * (t + 1), MEMO_SIZE)
+    # the oldest went first
     assert list(model.memo) == keys[-MEMO_SIZE:]
 
 
@@ -825,6 +848,84 @@ def test_a_refined_model_starts_with_an_empty_memo(assay):
     _, model, _ = agent.propagate_refinement(result.events)
     assert model is not assay.model
     assert model.memo == {}
+
+
+def test_memoized_values_are_read_only_and_what_their_keys_compute(assay):
+    sweep_traces(assay, range(1, 21))
+    model = assay.model
+    kinds = set()
+    for key, value in model.memo.items():
+        kinds.add(key[0] if isinstance(key[0], str) else "replan")
+        if key[0] in ("predict", "push"):
+            if key[0] == "push":
+                _, posterior, action, channel = key
+                prior = model.b.push(np.frombuffer(posterior), action)
+            else:
+                _, prior, channel = key
+                prior = np.frombuffer(prior)
+            want = model.a.predictive(channel, prior)
+            assert value.channel == channel
+            assert value.prior.probs.tobytes() == prior.tobytes()
+            assert value.predictive.probs.tobytes() == want.probs.tobytes()
+            assert value.entropy == want.entropy()
+            for array in (value.prior.probs, value.predictive.probs):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[0] = 0.5
+    assert kinds == {"predict", "replan", "push"}
+
+
+def test_agents_sharing_a_model_and_an_action_label_get_their_own_prediction(assay):
+    # one agent reads the indicator after measuring, the other the probe
+    rewired = dict(assay.actions)
+    rewired["measure_pH"] = dataclasses.replace(
+        assay.actions["measure_pH"], observes="indicatorColor"
+    )
+    obs = Observation("indicatorColor", "yellow", 0)
+    for actions in (assay.actions, rewired, assay.actions):
+        agent = Agent(assay.model, assay.agent, TabularProvider(assay.model), actions)
+        state, _, event = agent.step(EpisodeState(), obs)
+        fresh = resolve_scenario("lab_assay").model
+        alone = Agent(fresh, assay.agent, TabularProvider(fresh), actions)
+        want, _, want_event = alone.step(EpisodeState(), obs)
+        assert event.action == "measure_pH"
+        assert state.prediction.channel == actions["measure_pH"].observes
+        assert prediction_of(event) == prediction_of(want_event)
+        assert state.prediction.entropy == want.prediction.entropy
+        assert event_json(event) == event_json(want_event)
+
+
+def test_a_fallback_step_on_a_warm_model_traces_as_on_a_fresh_one():
+    model, actions, config = hazard_scenario()
+    # step 0 on the shared model: a belief moved away from D, then an
+    # identity push under "wait", so the next step's prior is that belief
+    answered = Agent(model, config, TabularProvider(model), actions)
+    state, _, first = answered.step(EpisodeState(), Observation("meter", "m0", 0))
+    assert first.action == "wait" and first.vfe.complexity > 0
+    # the fallback keeps that belief as its posterior and pushes it under
+    # "poke": the warm memo holds the same belief pushed under "wait"
+    failing = dataclasses.replace(config, fallback_policy="poke_once")
+    obs = Observation("meter", "m0", 1)
+    warm = Agent(model, failing, FailingProvider(), actions).step(state, obs)
+    fresh_model = hazard_scenario()[0]
+    fresh = Agent(fresh_model, failing, FailingProvider(), actions).step(state, obs)
+    assert warm[2].provider_error == "llm offline" and warm[2].action == "poke"
+    # nothing shifted: no complexity
+    assert warm[2].vfe == fresh[2].vfe and warm[2].vfe.complexity == 0.0
+    assert event_json(warm[2]) == event_json(fresh[2])
+    held, want = warm[0].prediction, fresh[0].prediction
+    assert held.prior.probs.tobytes() == want.prior.probs.tobytes()
+    assert (held.channel, held.entropy) == (want.channel, want.entropy)
+
+
+def test_run_episode_refines_nothing(assay, monkeypatch):
+    def refusing(self, events):
+        raise AssertionError("run_episode refined the episode")
+
+    monkeypatch.setattr(Agent, "propagate_refinement", refusing)
+    _, result, _ = assay_episode(assay)
+    assert result.outcome == "assay_complete"
+    assert not hasattr(result, "refinements")
 
 
 # -- degenerate world: nothing is ever surprising ------------------------
@@ -890,7 +991,7 @@ def test_zero_surprise_episode_never_raises_prediction_errors():
         assert event.expected_surprise == 0.0
         assert event.vfe.total == 0.0
         assert not any(m.kind == "prediction-error" for m in event.messages)
-    assert result.refinements == ()
+    assert agent.propagate_refinement(result.events)[0] == ()
 
     values = [row.vfe for row in ledger.rows]
     assert values[0] == 0.0  # a delta prior has no entropy to resolve
@@ -903,12 +1004,12 @@ def test_zero_threshold_opens_every_refinement_gate():
     agent = Agent(model, config, TabularProvider(model), actions)
     result, _ = run_episode(agent, SteadyEnv(steps_until_done=2))
 
-    levels = [r.level for r in result.refinements]
+    levels = [r.level for r in agent.propagate_refinement(result.events)[0]]
     # the sensorimotor gate opened too, but a surprise-free trace flags
     # no likelihood to recalibrate
     assert levels == ["planner"]
     summaries, refined_model, refined_config = agent.propagate_refinement(result.events)
-    assert summaries == result.refinements
+    assert [r.level for r in summaries] == levels
     assert refined_model is model
     assert refined_config == config
 
@@ -920,7 +1021,7 @@ def test_terminal_at_reset_gives_an_empty_episode():
     assert result.outcome == "handed_off"
     assert result.steps == 0
     assert result.events == ()
-    assert result.refinements == ()
+    assert agent.propagate_refinement(result.events)[0] == ()
     assert ledger.rows == ()
 
 
@@ -958,13 +1059,31 @@ def test_an_episode_builds_one_predictive_per_step_plus_one(assay, monkeypatch, 
     monkeypatch.setattr(ObservationModel, "predictive", counting)
     _, result, _ = assay_episode(assay, seed=seed)
     assert len(calls) == result.steps + 1
+    # the same seed again on the warm model reads every prediction back
+    calls.clear()
+    _, again, _ = assay_episode(assay, seed=seed)
+    assert again.steps == result.steps
+    assert calls == []
 
     calls.clear()
     model, actions, config = certainty_scenario()
     agent = Agent(model, config, TabularProvider(model), actions)
     result, _ = run_episode(agent, SteadyEnv(steps_until_done=5))
     assert result.steps == 5
-    assert len(calls) == 6
+    # one belief, one action: the first step's predictive and push, then
+    # every later push repeats the first
+    assert calls == ["lamp", "lamp"]
+
+
+def test_first_steps_on_different_channels_score_against_their_own_predictive(assay):
+    agent = make_agent(assay)
+    d = assay.model.d.probs
+    for channel, outcome in [("indicatorColor", "yellow"), ("phProbe", "6.2"),
+                             ("indicatorColor", "yellow")]:
+        _, _, event = agent.step(EpisodeState(), Observation(channel, outcome, 0))
+        predictive = assay.model.a.predictive(channel, d)
+        assert event.expected_surprise == predictive.entropy()
+        assert event.surprise == -math.log(predictive.prob(outcome))
 
 
 def test_a_step_on_another_channel_scores_against_the_pushed_prior(assay):

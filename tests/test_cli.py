@@ -164,6 +164,7 @@ def test_out_of_range_environment_value_fails_validate_and_run(tmp_path, capsys,
     ("veto_outcome_mass", "nan", "veto_outcome_mass must be in [0, 1]"),  # was no veto
     ("veto_outcome_mass", "-1", "veto_outcome_mass must be in [0, 1]"),
     ("probe_channel", "phprobe", "unknown channel 'phprobe'"),  # was a dose never taken
+    ("fallback_policy", "nobody", "unknown policy 'nobody'"),  # was unaddressed
 ])
 def test_bad_agent_value_fails_validate_and_run(tmp_path, capsys, command, key, value, rule):
     text = pathlib.Path(builtin_scenario_path("lab_assay")).read_text(encoding="utf-8")
@@ -176,6 +177,20 @@ def test_bad_agent_value_fails_validate_and_run(tmp_path, capsys, command, key, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: bad_agent: [agent] {key}: {rule}\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_undeclared_start_channel_fails_validate_and_run(tmp_path, capsys, command):
+    text = pathlib.Path(builtin_scenario_path("lab_assay")).read_text(encoding="utf-8")
+    broken, count = re.subn(r"^start_channel = .*$", "start_channel = nope", text, flags=re.M)
+    assert count == 1
+    path = tmp_path / "bad_start.ini"
+    path.write_text(broken, encoding="utf-8")
+    seed = ["--seed", "42"] if command == "run" else []
+    assert main([command, "--scenario", str(path), *seed]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: bad_start: [environment] start_channel: unknown channel 'nope'\n"
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])

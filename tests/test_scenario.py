@@ -130,6 +130,19 @@ def test_undeclared_probe_channel_is_addressed():
     assert str(info.value) == "inline: [agent] probe_channel: unknown channel 'phprobe'"
 
 
+@pytest.mark.parametrize("line, broken, message", [
+    ("fallback_policy = ask_human", "fallback_policy = nobody",
+     "inline: [agent] fallback_policy: unknown policy 'nobody'"),
+    ("start_channel = indicator", "start_channel = nope",
+     "inline: [environment] start_channel: unknown channel 'nope'"),
+])
+def test_undeclared_fallback_and_start_channel_are_addressed(line, broken, message):
+    assert MINIMAL.count(line) == 1
+    with pytest.raises(ScenarioError) as info:
+        load_scenario(MINIMAL.replace(line, broken))
+    assert str(info.value) == message
+
+
 def with_line(section: str, line: str) -> str:
     """MINIMAL with one more line at the top of ``[section]``."""
     return MINIMAL.replace(f"[{section}]\n", f"[{section}]\n{line}\n")
