@@ -8,6 +8,7 @@ Engine code assumes models that passed validation.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -126,7 +127,7 @@ class PreferenceModel:
         """Turn weighted outcome predicates into per-channel priors."""
         priors: dict[str, CategoricalDistribution] = {}
         for channel, outcomes in channels.items():
-            mass = np.ones(len(outcomes))
+            mass = [1.0] * len(outcomes)
             for entry in entries:
                 if entry.channel != channel:
                     continue
@@ -273,16 +274,18 @@ def _check_row(out: list, path: str, row: np.ndarray) -> None:
         out.append((path, f"row sums to {total!r}, expected 1.0 +/- {NORM_ATOL}"))
 
 
-def _suspect_rows(m: np.ndarray) -> np.ndarray:
-    """Indices of the rows of ``m`` (last axis) that ``_check_row`` may flag.
+def _suspects(m: np.ndarray, starts: list[int]) -> np.ndarray:
+    """Which rows of ``m`` ``_check_row`` may flag, one column per segment.
 
-    One pass over the whole array. The sum test is twice as strict as
-    ``_check_row``'s, so a last-bit difference between a batched and a
-    single-row sum cannot hide a bad row; ``_check_row`` has the last
-    word on every suspect.
+    The segments of the last axis start at ``starts``; entry [..., k]
+    covers the rows of segment k. One pass over the whole array. The
+    sum test is twice as strict as ``_check_row``'s, so a last-bit
+    difference between a batched and a single-row sum cannot hide a bad
+    row; ``_check_row`` has the last word on every suspect.
     """
-    ok = ((m >= 0) & (m <= 1)).all(axis=-1) & (np.abs(m.sum(axis=-1) - 1.0) <= NORM_ATOL / 2)
-    return np.argwhere(~ok)
+    in_range = np.logical_and.reduceat((m >= 0) & (m <= 1), starts, axis=-1)
+    total = np.add.reduceat(m, starts, axis=-1)
+    return ~(in_range & (abs(total - 1.0) <= NORM_ATOL / 2))
 
 
 def validate_model(model: GenerativeModel) -> ValidationReport:
@@ -298,19 +301,36 @@ def validate_model(model: GenerativeModel) -> ValidationReport:
     if len(set(model.actions)) != len(model.actions):
         v.append(("actions", f"duplicate labels in {model.actions}"))
 
+    # the likelihood rows of every channel side by side, screened at once;
+    # a matrix of any other shape (a channel without outcomes, say) has
+    # all its rows checked one by one
+    matrices = model.a.matrices
+    n = len(model.states)
+    batch = [ch for ch in model.channels
+             if (m := matrices.get(ch)) is not None and m.ndim == 2 and m.shape[0] == n and m.shape[1]]
+    suspects: dict[str, list[int]] = {}
+    if batch:
+        widths = [matrices[ch].shape[1] for ch in batch]
+        flagged = _suspects(np.concatenate([matrices[ch] for ch in batch], axis=1),
+                            list(itertools.accumulate(widths[:-1], initial=0)))
+        for k, i in zip(*flagged.T.nonzero()):  # channel by channel, rows in order
+            suspects.setdefault(batch[k], []).append(i)
     for channel, outcomes in model.channels.items():
         if len(set(outcomes)) != len(outcomes):
             v.append((f"channels.{channel}", "duplicate outcome labels"))
-        m = model.a.matrices.get(channel)
+        m = matrices.get(channel)
         if m is None:
             v.append((f"a.{channel}", "missing likelihood matrix"))
             continue
-        for (i,) in _suspect_rows(m):
+        rows = suspects.get(channel, ()) if channel in batch else range(len(m))
+        for i in rows:
             _check_row(v, f"a.{channel}.{model.states[i]}", m[i])
 
     # (action, state) pairs in row-major order: action by action
-    for a, i in _suspect_rows(model.b.tensor):
-        _check_row(v, f"b.{model.actions[a]}.{model.states[i]}", model.b.tensor[a, i])
+    tensor = model.b.tensor
+    if tensor.size:
+        for a, i, _ in zip(*_suspects(tensor, [0]).nonzero()):
+            _check_row(v, f"b.{model.actions[a]}.{model.states[i]}", tensor[a, i])
 
     if model.d.labels != model.states:
         v.append(("d", f"prior labels {model.d.labels} != states {model.states}"))

@@ -260,9 +260,10 @@ class RemoteProvider(WorldModelProvider):
         self._failures = (OSError, http.client.HTTPException)
 
         plain, tls = http.client.HTTPConnection, http.client.HTTPSConnection
-        proxy = None
-        if not urllib.request.proxy_bypass(hostport):
-            proxy = urllib.request.getproxies().get(parts.scheme)
+        # no_proxy is consulted only when a proxy would be used
+        proxy = urllib.request.getproxies().get(parts.scheme)
+        if proxy and urllib.request.proxy_bypass(hostport):
+            proxy = None
         if not proxy:
             cls = tls if parts.scheme == "https" else plain
             self._conn = cls(parts.hostname, parts.port, timeout=timeout)

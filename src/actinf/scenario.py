@@ -12,6 +12,11 @@ hand-edited files compact:
     identity / absorb     transition rows that keep the state put
     ge 90 / lt 90 ...     numeric outcome predicates in [C]
 
+Outcomes that all read as numbers must be finite and strictly
+increasing; ``gauss`` and the predicates also need them evenly spaced
+(every step within 1e-9 of the first). A bundled scenario is named
+plainly: a name with '/' or '\\' in it, or starting with '.', names none.
+
 The document grammar is line-based and deliberately small:
 
     [section]             a header, alone on its line
@@ -30,6 +35,7 @@ from __future__ import annotations
 
 import io
 import math
+import os
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -81,15 +87,20 @@ def discretized_gaussian(values: np.ndarray, mu: float, sigma: float) -> np.ndar
 
     Bin i spans c_i +/- width/2; the lower edge of bin i + 1 and the
     upper edge of bin i are computed apart, in that order of operations,
-    so that every bit matches a bin-by-bin evaluation.
+    so that every bit matches a bin-by-bin evaluation. One CDF pass
+    covers both edge arrays.
     """
     if not sigma > 0:
         raise ScenarioError(f"gauss needs sigma > 0, got {sigma}")
     values = np.asarray(values, dtype=float)
-    width = float(values[1] - values[0]) if len(values) > 1 else 1.0
-    upper = np.append(_phi((values[:-1] + width / 2 - mu) / sigma), 1.0)
-    lower = np.append(0.0, _phi((values[1:] - width / 2 - mu) / sigma))
-    return upper - lower
+    inner = len(values) - 1
+    half = (float(values[1] - values[0]) if inner else 1.0) / 2
+    cdf = _phi((np.concatenate((values[:-1] + half, values[1:] - half)) - mu) / sigma)
+    # upper edge CDF minus lower edge CDF; the last upper and first lower are open
+    row = np.ones(inner + 1)
+    row[:-1] = cdf[:inner]
+    row[1:] -= cdf[inner:]
+    return row
 
 
 def read_sections(text: str, name: str) -> dict[str, dict[str, str]]:
@@ -138,18 +149,22 @@ def _numeric_grid(doc: _Doc, section: str, key: str, owner: str,
                   outcomes: tuple[str, ...]) -> np.ndarray | str:
     """The outcomes as an evenly spaced number grid, or why they are not one.
 
-    Numbers that do not strictly increase are no grid of any kind (the
-    environment snaps readings onto a channel's grid), so they fail at
-    ``[section] key``.
+    Numbers that do not strictly increase, or that are not finite, are
+    no grid of any kind (the environment snaps readings onto a
+    channel's grid), so they fail at ``[section] key``.
     """
     try:
-        values = np.array([float(o) for o in outcomes])
+        numbers = [float(o) for o in outcomes]
     except ValueError:
         return f"{owner} has non-numeric outcomes"
-    steps = np.diff(values)
-    if not np.all(steps > 0):
+    values = np.array(numbers)
+    steps = values[1:] - values[:-1]
+    if not (steps > 0).all():
         doc.fail(section, key, "numeric outcomes must increase")
-    if len(steps) and not np.allclose(steps, steps[0], rtol=0, atol=1e-9):
+    # increasing numbers are all finite when both ends are
+    if not (math.isfinite(numbers[0]) and math.isfinite(numbers[-1])):
+        doc.fail(section, key, "numeric outcomes must be finite")
+    if len(steps) and abs(steps - steps[0]).max() > 1e-9:
         return f"{owner}: outcome grid must be evenly spaced"
     return values
 
@@ -188,7 +203,8 @@ def _decimals(x: float) -> int:
     return d
 
 
-def _parse_channel(doc: _Doc, key: str, raw: str) -> tuple[str, ...]:
+def _parse_channel(doc: _Doc, key: str, raw: str) -> tuple[tuple[str, ...], np.ndarray | str]:
+    """A channel's outcome labels and their number grid (or why they have none)."""
     parts = raw.split()
     if parts and parts[0] == "span":
         well_formed = len(parts) == 4 or (len(parts) == 5 and parts[4] == "int")
@@ -198,12 +214,15 @@ def _parse_channel(doc: _Doc, key: str, raw: str) -> tuple[str, ...]:
             lo = hi = step = math.nan
         if not (well_formed and math.isfinite(lo) and lo <= hi < math.inf and 0 < step < math.inf):
             doc.fail("channels", key, f"bad span spec {raw!r}")
-        values = np.arange(lo, hi + step / 2, step)
+        values = np.arange(lo, hi + step / 2, step).tolist()
         if parts[-1] == "int":
-            return tuple(str(int(round(v))) for v in values)
-        decimals = max(_decimals(lo), _decimals(step))
-        return tuple(f"{v:.{decimals}f}" for v in values)
-    return _parse_labels(doc, "channels", key, raw)
+            labels = tuple([str(round(v)) for v in values])
+        else:
+            spec = f".{max(_decimals(lo), _decimals(step))}f"
+            labels = tuple([format(v, spec) for v in values])
+    else:
+        labels = _parse_labels(doc, "channels", key, raw)
+    return labels, _numeric_grid(doc, "channels", key, f"channel {key!r}", labels)
 
 
 def _parse_row(doc: _Doc, section: str, key: str, raw: str, outcomes: tuple[str, ...],
@@ -288,18 +307,24 @@ def load_scenario(path_or_text, name: str = "") -> Scenario:
     doc = _Doc(read_sections(content, name), name)
 
     states = _parse_labels(doc, "states", "labels", doc.section("states").get("labels", ""))
-    channels = {
-        key: _parse_channel(doc, key, raw) for key, raw in doc.section("channels").items()
-    }
-    grids = {
-        ch: _numeric_grid(doc, "channels", ch, f"channel {ch!r}", outcomes)
-        for ch, outcomes in channels.items()
-    }
+    channels = {}
+    grids = {}
+    for key, raw in doc.section("channels").items():
+        channels[key], grids[key] = _parse_channel(doc, key, raw)
     state_grid = _numeric_grid(doc, "states", "labels", "[states]", states)
 
     # [actions]
     actions_raw = doc.section("actions")
     action_labels = _parse_labels(doc, "actions", "labels", actions_raw.get("labels", ""))
+    # each "<label>.<param>" key, at every '.' that ends a declared label
+    params: dict[str, dict] = {label: {} for label in action_labels}
+    for key, raw in actions_raw.items():
+        dot = key.find(".")
+        while dot >= 0:
+            param = key[dot + 1:]
+            if key[:dot] in params and param not in ("primitive", "observes"):
+                params[key[:dot]][param] = _coerce(raw)
+            dot = key.find(".", dot + 1)
     actions: dict[str, ActionSpec] = {}
     for label in action_labels:
         primitive = actions_raw.get(f"{label}.primitive")
@@ -308,12 +333,8 @@ def load_scenario(path_or_text, name: str = "") -> Scenario:
             doc.fail("actions", f"{label}.primitive", f"expected one of {PRIMITIVES}, got {primitive!r}")
         if observes not in channels:
             doc.fail("actions", f"{label}.observes", f"unknown channel {observes!r}")
-        params = {}
-        prefix = f"{label}."
-        for key, raw in actions_raw.items():
-            if key.startswith(prefix) and key not in (f"{label}.primitive", f"{label}.observes"):
-                params[key[len(prefix):]] = _coerce(raw)
-        actions[label] = ActionSpec(label=label, primitive=primitive, observes=observes, params=params)
+        actions[label] = ActionSpec(label=label, primitive=primitive, observes=observes,
+                                    params=params[label])
 
     # [A]
     a_raw = doc.section("A")
@@ -330,7 +351,7 @@ def load_scenario(path_or_text, name: str = "") -> Scenario:
             if raw not in parsed:
                 parsed[raw] = _parse_row(doc, "A", key, raw, outcomes, grids[ch])
             rows.append(parsed[raw])
-        matrices[ch] = np.stack(rows)
+        matrices[ch] = np.array(rows)
 
     # [B]
     b_raw = doc.section("B")
@@ -521,12 +542,11 @@ def save_scenario(scenario: Scenario, path: str | None = None) -> str:
 
 
 def builtin_scenario_path(name: str) -> str:
-    import importlib.resources
-
-    resource = importlib.resources.files("actinf.scenarios").joinpath(f"{name}.ini")
-    if not resource.is_file():
+    """The path of the bundled scenario ``name``: a plain name, no path."""
+    path = os.path.join(os.path.dirname(__file__), "scenarios", f"{name}.ini")
+    if "/" in name or "\\" in name or name.startswith(".") or not os.path.isfile(path):
         raise ScenarioError(f"no bundled scenario named {name!r}")
-    return str(resource)
+    return path
 
 
 def resolve_scenario(ref: str) -> Scenario:

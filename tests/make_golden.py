@@ -4,11 +4,11 @@ Run manually after an intentional engine change:
 
     python3 tests/make_golden.py
 
-The fixtures pin byte-exact trace/ledger output and the provider
-response script for the bundled assay scenario at seed 42, and the
-sha256 of the trace and of the ledger of every seed of a 1..100 sweep
-run in order on one scenario and one provider, as ``actinf sweep``
-runs it.
+The fixtures pin the bundled assay scenario as a fresh load saves it
+(every matrix at full precision), byte-exact trace/ledger output and
+the provider response script for it at seed 42, and the sha256 of the
+trace and of the ledger of every seed of a 1..100 sweep run in order
+on one scenario and one provider, as ``actinf sweep`` runs it.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import pathlib
 from actinf.agent import Agent, run_episode
 from actinf.lab import LabEnv
 from actinf.providers import TabularProvider, WorldModelProvider, save_script
-from actinf.scenario import resolve_scenario
+from actinf.scenario import resolve_scenario, save_scenario
 from actinf.trace import emit_trace, render_ledger
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -59,6 +59,7 @@ def sweep_line(scenario, provider, seed: int) -> str:
 def main() -> None:
     DATA.mkdir(exist_ok=True)
     scenario = resolve_scenario("lab_assay")
+    save_scenario(scenario, str(DATA / "golden_lab_assay_saved.ini"))
     provider = RecordingProvider(TabularProvider(scenario.model))
     agent = Agent(scenario.model, scenario.agent, provider, scenario.actions)
     env = LabEnv(scenario.env, scenario.model.channels, seed=SEED)

@@ -193,20 +193,48 @@ def test_undeclared_start_channel_fails_validate_and_run(tmp_path, capsys, comma
     assert captured.err == "error: bad_start: [environment] start_channel: unknown channel 'nope'\n"
 
 
-@pytest.mark.parametrize("command", ["validate", "run"])
-def test_decreasing_numeric_channel_fails_validate_as_run_does(tmp_path, capsys, command):
+def spill_detector_reads(path: pathlib.Path, negative: str, positive: str) -> str:
+    """Write the assay to ``path`` with spillDetector's outcomes renamed; return the path."""
     text = pathlib.Path(builtin_scenario_path("lab_assay")).read_text(encoding="utf-8")
-    for line, broken in [("spillDetector = negative positive", "spillDetector = 1 0"),
-                         ("containment_safety.prefer = negative", "containment_safety.prefer = 1"),
-                         ("containment_safety.avoid = positive", "containment_safety.avoid = 0")]:
+    for line, broken in [("spillDetector = negative positive", f"spillDetector = {negative} {positive}"),
+                         ("containment_safety.prefer = negative", f"containment_safety.prefer = {negative}"),
+                         ("containment_safety.avoid = positive", f"containment_safety.avoid = {positive}")]:
         assert text.count(line) == 1
         text = text.replace(line, broken)
-    path = tmp_path / "descending.ini"
     path.write_text(text, encoding="utf-8")
-    assert main([command, "--scenario", str(path)]) == 1
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_decreasing_numeric_channel_fails_validate_as_run_does(tmp_path, capsys, command):
+    path = spill_detector_reads(tmp_path / "descending.ini", "1", "0")
+    assert main([command, "--scenario", path]) == 1
     captured = capsys.readouterr()
     assert "OK" not in captured.out
     assert "descending: [channels] spillDetector: numeric outcomes must increase" in captured.err
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("negative, positive", [("0", "inf"), ("-inf", "0")])
+def test_non_finite_numeric_channel_fails_validate_and_run(tmp_path, capsys, command,
+                                                           negative, positive):
+    path = spill_detector_reads(tmp_path / "infinite.ini", negative, positive)
+    assert main([command, "--scenario", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: infinite: [channels] spillDetector: numeric outcomes must be finite\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("name", ["../scenarios/lab_assay", "..\\scenarios\\lab_assay", ".lab_assay"])
+def test_bundled_scenario_name_with_a_path_exits_1(tmp_path, capsys, command, name):
+    trace = tmp_path / "trace.jsonl"
+    extra = ["--seed", "1", "--trace", str(trace)] if command == "run" else []
+    assert main([command, "--scenario", name, *extra]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: no bundled scenario named {name!r}\n"
+    assert not trace.exists()
 
 
 def test_missing_scenario_file_exits_1(capsys):

@@ -10,6 +10,7 @@ import socket
 import subprocess
 import sys
 import threading
+import urllib.request
 from contextlib import closing
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -447,6 +448,27 @@ def test_remote_no_proxy_bypasses_the_proxy(assay, stub, no_proxy_env):
     with closing(RemoteProvider(stub.url, timeout=5.0)) as provider:
         provider.infer(yellow_query(assay))
     assert stub.targets == ["/wm"]
+
+
+def test_remote_without_a_proxy_never_consults_no_proxy(assay, stub, no_proxy_env):
+    def bypass(host):
+        raise AssertionError(f"proxy_bypass({host!r}) called with no proxy set")
+
+    no_proxy_env.setattr(urllib.request, "proxy_bypass", bypass)
+    with closing(RemoteProvider(stub.url, timeout=5.0)) as provider:
+        provider.infer(yellow_query(assay))
+    assert stub.targets == ["/wm"]
+
+
+def test_remote_reads_the_proxy_environment_once_per_provider(stub, no_proxy_env):
+    no_proxy_env.setenv("http_proxy", "http://127.0.0.1:9")
+    no_proxy_env.setenv("no_proxy", "127.0.0.1")
+    calls = []
+    real = urllib.request.getproxies
+    no_proxy_env.setattr(urllib.request, "getproxies", lambda: calls.append(1) or real())
+    for _ in range(2):
+        RemoteProvider(stub.url, timeout=5.0).close()
+    assert len(calls) == 2
 
 
 def test_remote_episode_traces_as_the_tabular_one(tmp_path, capsys, stub):

@@ -394,6 +394,19 @@ def test_resolve_bundled_and_unknown_names():
         resolve_scenario("nope")
 
 
+@pytest.mark.parametrize("name", ["../scenarios/lab_assay", "scenarios/lab_assay",
+                                  "..\\scenarios\\lab_assay", ".lab_assay", "..", ""])
+def test_bundled_scenario_names_are_plain_names(name):
+    with pytest.raises(ScenarioError, match=rf"^no bundled scenario named {re.escape(repr(name))}$"):
+        resolve_scenario(name)
+
+
+def test_a_fresh_load_saves_as_the_fixture(assay):
+    # tests/make_golden.py writes the fixture; a drift at the loader shows here first
+    fixture = pathlib.Path(__file__).parent / "data" / "golden_lab_assay_saved.ini"
+    assert save_scenario(assay) == fixture.read_text(encoding="utf-8")
+
+
 def test_missing_file_path_is_reported():
     with pytest.raises(ScenarioError, match="cannot read scenario"):
         load_scenario("/no/such/place.ini")
@@ -581,6 +594,39 @@ def test_uneven_grid_is_no_gauss_grid():
     # an even grid written with a step that floats cannot hold exactly still passes
     even = uneven.replace("0 100 200.001", "0 0.1 0.2").replace("gauss 0 5", "gauss 0.1 0.05")
     assert load_scenario(even.replace("= 200.001", "= 0.2")).model.channels["indicator"][2] == "0.2"
+
+
+@pytest.mark.parametrize("outcomes, low, high", [("0 inf", "0", "inf"), ("-inf 0", "-inf", "0"),
+                                                 ("1e999", "1e999", "")])
+def test_non_finite_numeric_channel_is_addressed(outcomes, low, high):
+    broken = (
+        MINIMAL.replace("indicator = fine odd", f"indicator = {outcomes}")
+        .replace("calm.prefer = fine", f"calm.prefer = {low}")
+        .replace("calm.avoid = odd", f"calm.avoid = {high}")
+        .replace("indicator.ok = 0.9 0.1", "indicator.ok = uniform")
+        .replace("indicator.bad = 0.2 0.8", "indicator.bad = uniform")
+    )
+    with pytest.raises(ScenarioError,
+                       match=r"^inline: \[channels\] indicator: numeric outcomes must be finite$"):
+        load_scenario(broken)
+
+
+def test_grid_spacing_tolerance_is_one_billionth():
+    def with_top(top):
+        return (
+            MINIMAL.replace("indicator = fine odd", f"indicator = 0 1 {top}")
+            .replace("indicator.ok = 0.9 0.1", "indicator.ok = gauss 1 0.5")
+            .replace("indicator.bad = 0.2 0.8", "indicator.bad = 0.2 0.3 0.5")
+            .replace("calm.prefer = fine", "calm.prefer = 0")
+            .replace("calm.avoid = odd", f"calm.avoid = {top}")
+        )
+
+    # steps 1 and 1.0000000009 differ by less than 1e-9: still a grid
+    row = load_scenario(with_top("2.0000000009")).model.a.matrices["indicator"][0]
+    assert row.tobytes() == discretized_gaussian(np.array([0.0, 1.0, 2.0000000009]), 1.0, 0.5).tobytes()
+    with pytest.raises(ScenarioError, match=r"\[A\] indicator.ok: gauss needs a number grid: "
+                                            r"channel 'indicator': outcome grid must be evenly spaced"):
+        load_scenario(with_top("2.0000000011"))
 
 
 def test_repeated_rows_are_parsed_once_per_channel(monkeypatch, assay):
