@@ -53,12 +53,10 @@ from .model import (
 from .planning import (
     EfeBreakdown,
     Rollout,
-    enumerate_policies,
     expected_free_energy,
     information_gain,
     pragmatic_value,
     rollout,
-    select_policy,
 )
 from .providers import (
     RemoteProvider,
@@ -75,7 +73,6 @@ from .trace import (
     LedgerRow,
     TraceEvent,
     build_ledger,
-    emit_ledger,
     emit_trace,
     read_trace,
 )

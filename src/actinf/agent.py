@@ -15,8 +15,8 @@ Each step runs bottom-up then top-down:
                 clears a rolling baseline plus the threshold.
   planner       asks the world-model provider for a posterior, and on a
                 prediction error (or with no live plan) re-scores the
-                candidate policies by expected free energy; the model
-                scores each distinct (config, belief) pair once.
+                model's declared policies by expected free energy; the
+                model scores each distinct (config, belief) pair once.
   executive     vetoes any winning policy that makes a near-forbidden
                 outcome too likely and confirms the survivor.
 
@@ -52,7 +52,7 @@ from .inference import compute_vfe, surprise
 from .lab import ActionSpec, ExecutedAction, LabState, Observation
 # unused here, but the benchmark's tracer wraps actinf.agent.validate_model by name
 from .model import GenerativeModel, Policy, validate_model
-from .planning import argmin, enumerate_policies, expected_free_energy, rollout
+from .planning import argmin, expected_free_energy, rollout
 from .providers import WorldModelProvider, WorldModelQuery, validate_response
 from .trace import COUNTER_KEYS, TraceEvent, FreeEnergyLedger, build_ledger
 
@@ -63,9 +63,7 @@ MESSAGE_KINDS = {"bottom-up": BOTTOM_UP_KINDS, "top-down": TOP_DOWN_KINDS}
 # (field, test, rule) for each range check of AgentConfig, in order;
 # each test is written so that NaN fails it
 CONFIG_RANGES = (
-    ("planning_horizon", lambda v: v >= 1, ">= 1"),
     ("vfe_baseline_window", lambda v: v >= 1, ">= 1"),
-    ("max_candidates", lambda v: v >= 1, ">= 1"),
     ("refinement_threshold", lambda v: v >= 0, ">= 0"),
     ("veto_outcome_mass", lambda v: 0 <= v <= 1, "in [0, 1]"),
     ("veto_probability", lambda v: 0 < v <= 1, "in (0, 1]"),
@@ -80,8 +78,6 @@ CONFIG_RANGES = (
 class AgentConfig:
     """Tunables of the control loop, scenario-declared."""
 
-    planning_horizon: int = 2
-    max_candidates: int = 16
     refinement_threshold: float = 1.0  # nats above the rolling baseline
     vfe_baseline_window: int = 5
     fallback_policy: str = "ask_human"
@@ -293,9 +289,10 @@ class Agent:
         The model scores each distinct (config, belief) pair once: a
         repeat reads the EFE table and veto flags back from its memo.
         ``opCounts`` count the replan's defined work either way, one
-        rollout and one EFE evaluation of every candidate.
+        rollout and one EFE evaluation of every declared policy.
         """
-        candidates, table, vetoes, rows = self.model.memoized(
+        candidates = self.model.policies
+        table, vetoes, rows = self.model.memoized(
             (self.config, posterior.probs.tobytes()), lambda: self._score(posterior)
         )
         counts["efeEvaluations"] += len(candidates)
@@ -327,18 +324,15 @@ class Agent:
         return policy, selected, marked
 
     def _score(self, posterior: CategoricalDistribution):
-        """Roll out every candidate once and score the rollouts.
+        """Roll out every declared policy once and score the rollouts.
 
-        Returns the candidates, their EFE table, their read-only veto
-        flags and the number of rollout rows.
+        Returns their EFE table, their read-only veto flags and the
+        number of rollout rows.
         """
-        candidates = enumerate_policies(
-            self.model, self.config.planning_horizon, self.config.max_candidates
-        )
-        plan = rollout(self.model, posterior, candidates)
+        plan = rollout(self.model, posterior, self.model.policies)
         vetoes = self._vetoes(plan)
         vetoes.flags.writeable = False
-        return candidates, expected_free_energy(self.model, plan), vetoes, len(plan.states)
+        return expected_free_energy(self.model, plan), vetoes, len(plan.states)
 
     def _vetoes(self, plan) -> np.ndarray:
         """Executive safety check: one flag per rolled-out candidate.

@@ -11,7 +11,6 @@ the same reductions, bit for bit, without a Python wrapper per call.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -25,44 +24,12 @@ EPS = 1e-12
 # Tolerance for "sums to one" checks.
 NORM_ATOL = 1e-9
 
-# Tolerance for comparing two beliefs elementwise.
-BELIEF_ATOL = 1e-6
-
 
 def _as_prob_array(values) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1:
         raise ShapeError(f"probability vector must be 1-d, got shape {arr.shape}")
     return arr
-
-
-@functools.lru_cache(maxsize=256)
-def _checked_str_labels(labels: tuple) -> tuple[tuple[str, ...], bool] | None:
-    """A tuple of strings and whether two coincide; None if a label is not a str.
-
-    Memoised: a run builds all its distributions over a few label tuples.
-    """
-    if not all(type(x) is str for x in labels):
-        return None
-    return labels, len(set(labels)) != len(labels)
-
-
-def _check_labels(labels) -> tuple[tuple[str, ...], bool]:
-    """The labels as strings and whether two of them coincide.
-
-    Only tuples of strings are memoised: equal labels of other types,
-    such as 1 and 1.0, print differently, and unhashable ones cannot be
-    looked up.
-    """
-    if type(labels) is tuple:
-        try:
-            checked = _checked_str_labels(labels)
-        except TypeError:  # an unhashable label
-            checked = None
-        if checked is not None:
-            return checked
-    strs = tuple(str(x) for x in labels)
-    return strs, len(set(strs)) != len(strs)
 
 
 @dataclass(frozen=True)
@@ -78,14 +45,14 @@ class CategoricalDistribution:
     probs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        labels, duplicated = _check_labels(self.labels)
+        labels = tuple(map(str, self.labels))
         object.__setattr__(self, "labels", labels)
         arr = _as_prob_array(self.probs).copy()
         if len(labels) != arr.shape[0]:
             raise ShapeError(
                 f"{len(labels)} labels but {arr.shape[0]} probabilities"
             )
-        if duplicated:
+        if len(set(labels)) != len(labels):
             raise ShapeError(f"duplicate labels in {labels}")
         if arr.size == 0:
             raise ShapeError("distribution needs at least one outcome")
@@ -118,11 +85,6 @@ class CategoricalDistribution:
 
     def mode(self) -> str:
         return self.labels[int(self.probs.argmax())]
-
-    def allclose(self, other: "CategoricalDistribution", atol: float = BELIEF_ATOL) -> bool:
-        return self.labels == other.labels and bool(
-            np.allclose(self.probs, other.probs, atol=atol, rtol=0.0)
-        )
 
 
 def normalize(weights, labels) -> CategoricalDistribution:

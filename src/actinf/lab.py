@@ -182,7 +182,9 @@ class LabEnv:
     def observe(self, channel: str) -> Observation:
         if channel not in self.channels:
             raise ShapeError(f"unknown channel {channel!r}")
-        outcome = getattr(self, _reader_name(channel))()
+        if channel not in READERS:
+            raise ShapeError(f"no reader for channel {channel!r}")
+        outcome = READERS[channel](self)
         obs = Observation(channel=channel, outcome=outcome, t=self._observed)
         self._observed += 1
         if (
@@ -327,18 +329,11 @@ def _parse_bins(name: str, outcomes: tuple[str, ...]) -> np.ndarray | None:
     return values
 
 
-@functools.lru_cache(maxsize=64)
-def _reader_name(channel: str) -> str:
-    """The ``LabEnv`` method that reads a channel, named once per channel."""
-    return f"_read_{_snake(channel)}"
-
-
-def _snake(name: str) -> str:
-    out = []
-    for ch in name:
-        if ch.isupper():
-            out.append("_")
-            out.append(ch.lower())
-        else:
-            out.append(ch)
-    return "".join(out)
+# the channels the simulator can read, each with its ``LabEnv`` reader
+READERS = {
+    "indicatorColor": LabEnv._read_indicator_color,
+    "phProbe": LabEnv._read_ph_probe,
+    "fluorescence": LabEnv._read_fluorescence,
+    "tempProbe": LabEnv._read_temp_probe,
+    "spillDetector": LabEnv._read_spill_detector,
+}

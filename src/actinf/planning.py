@@ -5,14 +5,14 @@ A policy's score is
     total = -(information gain) - (pragmatic value)
 
 summed over its whole horizon, and the best policy is the strict
-argmin. Information gain is the mutual information between predicted
+argmin. The candidates are the model's declared policies, in declaration
+order, which also breaks ties. Information gain is the mutual information between predicted
 states and predicted observations at each step; pragmatic value is the
 expected log-preference of predicted outcomes. Lower total wins.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -129,35 +129,3 @@ def argmin(totals: list[float], allowed: list[bool]) -> int | None:
             best = i
     return best
 
-
-def select_policy(
-    model: GenerativeModel,
-    belief: CategoricalDistribution,
-    candidates: tuple[Policy, ...],
-) -> tuple[Policy, tuple[EfeBreakdown, ...]]:
-    """Score every candidate and take the argmin."""
-    table = expected_free_energy(model, rollout(model, belief, candidates))
-    best = argmin([row.total for row in table], [True] * len(table))
-    return candidates[best], table
-
-
-def enumerate_policies(
-    model: GenerativeModel, horizon: int, max_count: int
-) -> tuple[Policy, ...]:
-    """Candidate policies: declared ones verbatim, else the action product.
-
-    Enumeration is lexicographic in declared action order and truncated
-    to ``max_count``, keeping candidate sets reproducible.
-    """
-    if horizon < 1:
-        raise ShapeError(f"horizon must be >= 1, got {horizon}")
-    if max_count < 1:
-        raise ShapeError(f"max_count must be >= 1, got {max_count}")
-    if model.policies:
-        return tuple(model.policies[:max_count])
-    out = []
-    for combo in itertools.product(model.actions, repeat=horizon):
-        if len(out) >= max_count:
-            break
-        out.append(Policy(label="-".join(combo), actions=combo))
-    return tuple(out)

@@ -14,7 +14,11 @@ hand-edited files compact:
 
 Outcomes that all read as numbers must be finite and strictly
 increasing; ``gauss`` and the predicates also need them evenly spaced
-(every step within 1e-9 of the first). A bundled scenario is named
+(every step within 1e-9 of the first). A ``span`` gives at most
+MAX_SPAN_OUTCOMES outcomes and a ``gauss`` needs sigma > 0. A channel
+that an action observes, or that the environment starts on, must be one
+the simulator reads (``lab.READERS``). A policy lists at least one
+action; an action may repeat. A bundled scenario is named
 plainly: a name with '/' or '\\' in it, or starting with '.', names none.
 
 The document grammar is line-based and deliberately small:
@@ -43,7 +47,7 @@ import numpy as np
 from .agent import AgentConfig
 from .dists import CategoricalDistribution
 from .errors import DegenerateDistributionError, ModelValidationError, ScenarioError
-from .lab import ActionSpec, EnvSpec, PRIMITIVES
+from .lab import READERS, ActionSpec, EnvSpec, PRIMITIVES
 from .model import (
     GenerativeModel,
     ObservationModel,
@@ -61,6 +65,9 @@ REQUIRED_SECTIONS = (
 
 # every scenario must declare the assistance fallback under this label
 FALLBACK_POLICY = "ask_human"
+
+# the most outcomes one ``span`` may give
+MAX_SPAN_OUTCOMES = 10_000
 
 # how an [environment] or [agent] value is read, by its field's type;
 # float() also reads an integer
@@ -214,6 +221,11 @@ def _parse_channel(doc: _Doc, key: str, raw: str) -> tuple[tuple[str, ...], np.n
             lo = hi = step = math.nan
         if not (well_formed and math.isfinite(lo) and lo <= hi < math.inf and 0 < step < math.inf):
             doc.fail("channels", key, f"bad span spec {raw!r}")
+        # bounded before np.arange allocates; an overflowing count is inf
+        count = (hi - lo) / step + 1
+        if not count <= MAX_SPAN_OUTCOMES:
+            doc.fail("channels", key,
+                     f"span gives {count:.3g} outcomes, more than {MAX_SPAN_OUTCOMES}")
         values = np.arange(lo, hi + step / 2, step).tolist()
         if parts[-1] == "int":
             labels = tuple([str(round(v)) for v in values])
@@ -238,6 +250,8 @@ def _parse_row(doc: _Doc, section: str, key: str, raw: str, outcomes: tuple[str,
             mu, sigma = float(parts[1]), float(parts[2])
         except (IndexError, ValueError):
             doc.fail(section, key, f"bad gauss spec {raw!r}")
+        if not sigma > 0:
+            doc.fail(section, key, f"gauss needs sigma > 0, got {sigma}")
         return discretized_gaussian(grid, mu, sigma)
     if parts[0] == "uniform":
         return np.full(len(outcomes), 1.0 / len(outcomes))
@@ -331,8 +345,7 @@ def load_scenario(path_or_text, name: str = "") -> Scenario:
         observes = actions_raw.get(f"{label}.observes")
         if primitive not in PRIMITIVES:
             doc.fail("actions", f"{label}.primitive", f"expected one of {PRIMITIVES}, got {primitive!r}")
-        if observes not in channels:
-            doc.fail("actions", f"{label}.observes", f"unknown channel {observes!r}")
+        _check_readable(doc, "actions", f"{label}.observes", observes, channels)
         actions[label] = ActionSpec(label=label, primitive=primitive, observes=observes,
                                     params=params[label])
 
@@ -410,9 +423,12 @@ def load_scenario(path_or_text, name: str = "") -> Scenario:
         doc.fail("D", "initial", str(exc))
 
     # [policies] (declaration order is candidate order)
-    policies = tuple(
-        Policy(label, tuple(raw.split())) for label, raw in doc.section("policies").items()
-    )
+    policies = []
+    for label, raw in doc.section("policies").items():
+        sequence = tuple(raw.split())
+        if not sequence:
+            doc.fail("policies", label, "expected at least one action")
+        policies.append(Policy(label, sequence))
 
     env = _build_spec(doc, "environment", EnvSpec)
     agent = _build_spec(doc, "agent", AgentConfig)
@@ -425,7 +441,7 @@ def load_scenario(path_or_text, name: str = "") -> Scenario:
         b=TransitionModel(states=states, actions=action_labels, tensor=tensor),
         c=PreferenceModel.compile(channels, tuple(entries)),
         d=d,
-        policies=policies,
+        policies=tuple(policies),
     )
     report = validate_model(model)
     if not report.ok:
@@ -433,17 +449,21 @@ def load_scenario(path_or_text, name: str = "") -> Scenario:
     labels = {p.label for p in policies}
     if FALLBACK_POLICY not in labels:
         raise ScenarioError(f"{name}: [policies] must declare the {FALLBACK_POLICY!r} fallback")
-    if len(policies) > agent.max_candidates:
-        # the planner would drop the policies past the limit unscored
-        doc.fail("agent", "max_candidates",
-                 f"{len(policies)} declared policies exceed the limit of {agent.max_candidates}")
     if agent.fallback_policy not in labels:
         doc.fail("agent", "fallback_policy", f"unknown policy {agent.fallback_policy!r}")
-    if env.start_channel not in channels:
-        doc.fail("environment", "start_channel", f"unknown channel {env.start_channel!r}")
+    _check_readable(doc, "environment", "start_channel", env.start_channel, channels)
     if agent.probe_channel not in channels:
         doc.fail("agent", "probe_channel", f"unknown channel {agent.probe_channel!r}")
     return Scenario(name=name, model=model, env=env, actions=actions, agent=agent)
+
+
+def _check_readable(doc: _Doc, section: str, key: str, channel, channels) -> None:
+    """Fail at ``[section] key`` unless ``channel`` is declared and simulated."""
+    if channel not in channels:
+        doc.fail(section, key, f"unknown channel {channel!r}")
+    if channel not in READERS:
+        doc.fail(section, key, f"the simulator cannot read channel {channel!r}; "
+                               f"it reads {', '.join(READERS)}")
 
 
 def _build_spec(doc: _Doc, section: str, cls):

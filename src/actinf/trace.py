@@ -1,9 +1,9 @@
 """Episode traces and the free-energy ledger.
 
 Every agent step produces one TraceEvent; emit_trace writes them as
-line-delimited JSON behind a schema-version header, and emit_ledger
+line-delimited JSON behind a schema-version header, and build_ledger
 folds the same events into a per-stage free energy table with the
-episode's cumulative operation counts.
+episode's cumulative operation counts, which render_ledger writes out.
 
 Serialization relies on dict insertion order and repr-float rendering,
 so equal inputs always produce byte-identical files.
@@ -210,14 +210,3 @@ def render_ledger(ledger: FreeEnergyLedger) -> str:
     totals = " ".join(f"{k}={ledger.totals.get(k, 0)}" for k in COUNTER_KEYS)
     lines.append(f"operations: {totals}" if ledger.totals else "operations: none")
     return "\n".join(lines) + "\n"
-
-
-def emit_ledger(
-    events, baseline: float, path: str | None = None
-) -> tuple[FreeEnergyLedger, str]:
-    ledger = build_ledger(events, baseline)
-    text = render_ledger(ledger)
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return ledger, text

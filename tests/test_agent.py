@@ -29,7 +29,7 @@ from actinf.model import (
     TransitionModel,
     validate_model,
 )
-from actinf.planning import enumerate_policies, expected_free_energy, rollout
+from actinf.planning import expected_free_energy, rollout
 from actinf.providers import (
     TabularProvider,
     WorldModelProvider,
@@ -68,7 +68,7 @@ def assay_episode(scenario, seed=42, provider=None, config=None, max_steps=20):
 
 def test_config_rejects_bad_values():
     with pytest.raises(ModelValidationError):
-        AgentConfig(planning_horizon=0)
+        AgentConfig(vfe_baseline_window=0)
     with pytest.raises(ModelValidationError):
         AgentConfig(veto_probability=0.0)
     with pytest.raises(ModelValidationError):
@@ -615,7 +615,6 @@ def hazard_scenario():
         "wait": ActionSpec("wait", "wait", "meter"),
     }
     config = AgentConfig(
-        planning_horizon=1,
         fallback_policy="hold",
         veto_outcome_mass=0.12,   # uniform preference mass is 0.1
         veto_probability=0.35,
@@ -655,8 +654,8 @@ def test_all_candidates_vetoed_falls_back_without_selection():
     assert confirmation.payload == {"policy": "hold", "fallback": True}
 
 
-def assert_one_rollout_per_candidate(events, model, config):
-    candidates = enumerate_policies(model, config.planning_horizon, config.max_candidates)
+def assert_one_rollout_per_candidate(events, model):
+    candidates = model.policies
     last = {"efeEvaluations": 0, "rolloutSteps": 0}
     for event in events:
         if event.efe_table:
@@ -670,14 +669,14 @@ def assert_one_rollout_per_candidate(events, model, config):
 
 def test_each_replan_rolls_out_each_candidate_once(assay):
     _, result, _ = assay_episode(assay)
-    assert_one_rollout_per_candidate(result.events, assay.model, assay.agent)
+    assert_one_rollout_per_candidate(result.events, assay.model)
 
     # the veto reads the candidates' rollouts instead of rolling out again
     model, actions, config = hazard_scenario()
     agent = Agent(model, config, TabularProvider(model), actions)
     _, _, event = agent.step(EpisodeState(), Observation("meter", "m0", 0))
     assert any(row.vetoed for row in event.efe_table)
-    assert_one_rollout_per_candidate([event], model, config)
+    assert_one_rollout_per_candidate([event], model)
 
 
 def per_policy_veto(model, belief, policy, config):
@@ -760,7 +759,9 @@ def test_a_sweep_rolls_out_each_distinct_belief_once(monkeypatch):
     memo = shared.model.memo
     replans = [key for key in memo if isinstance(key[0], AgentConfig)]
     assert len(calls) == len(replans) == 4
-    assert not any(memo[key][2].flags.writeable for key in replans)
+    # each value is the EFE table, the read-only veto flags and the row count
+    assert all(len(memo[key]) == 3 for key in replans)
+    assert not any(memo[key][1].flags.writeable for key in replans)
     for seed, trace in traces.items():
         assert trace == sweep_traces(resolve_scenario("lab_assay"), [seed])[seed], seed
 
@@ -788,19 +789,22 @@ def test_sweep_order_does_not_change_a_trace():
 
 def test_agents_sharing_a_model_get_their_own_config_scores():
     model, actions, config = hazard_scenario()
-    # no declared policies, so the horizon decides the candidates
-    shared = dataclasses.replace(model, policies=())
+    # mixed horizons, a repeated action and the fallback last
+    declared = (Policy("poke_twice", ("poke", "poke")), Policy("poke_once", ("poke",)),
+                Policy("hold", ("wait",)))
+    shared = dataclasses.replace(model, policies=declared)
     variants = [
         config,
         dataclasses.replace(config, veto_probability=0.5),
         dataclasses.replace(config, veto_outcome_mass=0.05),
-        dataclasses.replace(config, planning_horizon=2),
+        dataclasses.replace(config, veto_probability=0.1),
     ]
     obs = Observation("meter", "m0", 0)
     flags, actions_taken = set(), set()
     for variant in variants:
         got = Agent(shared, variant, TabularProvider(shared), actions).step(EpisodeState(), obs)[2]
-        fresh = dataclasses.replace(model, policies=())
+        assert [row.policy for row in got.efe_table] == [p.label for p in declared]
+        fresh = dataclasses.replace(model, policies=declared)
         want = Agent(fresh, variant, TabularProvider(fresh), actions).step(EpisodeState(), obs)[2]
         assert [(row, row.vetoed) for row in got.efe_table] == [
             (row, row.vetoed) for row in want.efe_table

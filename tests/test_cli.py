@@ -102,12 +102,16 @@ def test_validate_addresses_a_bad_preference_entry(tmp_path, capsys, line, broke
 @pytest.mark.parametrize("line, broken, address", [
     ("noise_scale = 1.0", "noise_scale = x",
      "bad_spec: [environment] noise_scale: expected float, got 'x'"),
-    ("max_candidates = 16", "max_candidates = 2.5",
-     "bad_spec: [agent] max_candidates: expected int, got '2.5'"),
-    ("planning_horizon = 2", "planning_horizon = two",
-     "bad_spec: [agent] planning_horizon: expected int, got 'two'"),
-    ("max_candidates = 16", "max_candidates = 3",
-     "bad_spec: [agent] max_candidates: 4 declared policies exceed the limit of 3"),
+    ("vfe_baseline_window = 5", "vfe_baseline_window = 2.5",
+     "bad_spec: [agent] vfe_baseline_window: expected int, got '2.5'"),
+    ("vfe_baseline_window = 5", "vfe_baseline_window = five",
+     "bad_spec: [agent] vfe_baseline_window: expected int, got 'five'"),
+    # the candidates are the declared policies; the two knobs that once
+    # chose them are gone, and a file that still sets one is refused
+    ("vfe_baseline_window = 5", "vfe_baseline_window = 5\nplanning_horizon = 2",
+     "bad_spec: [agent] planning_horizon: unknown AgentConfig field"),
+    ("vfe_baseline_window = 5", "vfe_baseline_window = 5\nmax_candidates = 16",
+     "bad_spec: [agent] max_candidates: unknown AgentConfig field"),
 ])
 def test_validate_addresses_a_bad_spec_value(tmp_path, capsys, line, broken, address):
     text = pathlib.Path(builtin_scenario_path("lab_assay")).read_text(encoding="utf-8")
@@ -192,6 +196,39 @@ def test_undeclared_start_channel_fails_validate_and_run(tmp_path, capsys, comma
     assert captured.out == ""
     assert captured.err == "error: bad_start: [environment] start_channel: unknown channel 'nope'\n"
 
+
+
+@pytest.mark.parametrize("command", ["validate", "run", "sweep"])
+def test_a_channel_the_simulator_cannot_read_fails_validate_and_run(tmp_path, capsys, command):
+    # validate said OK, and run and sweep ended in an AttributeError traceback
+    text = pathlib.Path(builtin_scenario_path("lab_assay")).read_text(encoding="utf-8")
+    odor = (
+        text.replace("spillDetector = negative positive\n",
+                     "spillDetector = negative positive\nodor = faint strong\n")
+        .replace("[B]\n", "".join(f"odor.{s} = uniform\n" for s in
+                                  ("ph_ok", "ph_acidic", "spill", "restarted")) + "\n[B]\n")
+        .replace("measure_pH.observes = phProbe", "measure_pH.observes = odor")
+    )
+    path = tmp_path / "odor.ini"
+    path.write_text(odor, encoding="utf-8")
+    seeds = {"run": ["--seed", "42"], "sweep": ["--seeds", "1..2"]}.get(command, [])
+    assert main([command, "--scenario", str(path), *seeds]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error: odor: [actions] measure_pH.observes: the simulator cannot read channel 'odor'; "
+    )
+
+
+def test_an_empty_policy_fails_validate_with_its_address(tmp_path, capsys):
+    # was exit 2 with "policy 'nothing' has no actions", no scenario, no address
+    text = pathlib.Path(builtin_scenario_path("lab_assay")).read_text(encoding="utf-8")
+    path = tmp_path / "empty_policy.ini"
+    path.write_text(text.replace("[policies]\n", "[policies]\nnothing =\n"), encoding="utf-8")
+    assert main(["validate", "--scenario", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: empty_policy: [policies] nothing: expected at least one action\n"
 
 def spill_detector_reads(path: pathlib.Path, negative: str, positive: str) -> str:
     """Write the assay to ``path`` with spillDetector's outcomes renamed; return the path."""

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from actinf.dists import (
-    BELIEF_ATOL,
     EPS,
     CategoricalDistribution,
     delta,
@@ -61,14 +60,6 @@ def test_prob_lookup_and_mode():
     assert d.mode() == "b"
     with pytest.raises(ShapeError):
         d.prob("c")
-
-
-def test_allclose_uses_belief_tolerance():
-    d1 = normalize([0.5, 0.5], ["a", "b"])
-    d2 = CategoricalDistribution(("a", "b"), np.array([0.5 + BELIEF_ATOL / 2, 0.5 - BELIEF_ATOL / 2]))
-    assert d1.allclose(d2)
-    d3 = normalize([0.51, 0.49], ["a", "b"])
-    assert not d1.allclose(d3)
 
 
 def test_normalization_survives_random_weights():

@@ -15,18 +15,18 @@ from actinf.model import (
     TransitionModel,
 )
 from actinf.planning import (
-    enumerate_policies,
+    TIE_ATOL,
+    argmin,
     expected_free_energy,
     information_gain,
     pragmatic_value,
     rollout,
-    select_policy,
 )
 
 from .oracles import efe_by_enumeration, random_model, random_policy
 
 
-def two_state_model(a_rows, prefs=None, b_tensor=None, policies=()):
+def two_state_model(a_rows, prefs=None, b_tensor=None):
     """Minimal one-channel model for targeted planning checks."""
     states = ("s0", "s1")
     actions = ("go", "stay")
@@ -109,41 +109,55 @@ def test_pragmatic_value_uniform_preferences():
     assert pragmatic_value(model, plan)[0] == pytest.approx(2 * math.log(0.5), abs=1e-12)
 
 
+# every two-step action sequence of two_state_model, declared in this order
+TWO_STEP = tuple(
+    Policy(f"{a}-{b}", (a, b)) for a in ("go", "stay") for b in ("go", "stay")
+)
+
+
+def best_of(table) -> int:
+    """The argmin of an EFE table with nothing vetoed."""
+    return argmin([row.total for row in table], [True] * len(table))
+
+
 def test_efe_delta_belief_uniform_preferences_all_tie():
     model = two_state_model([[0.9, 0.1], [0.1, 0.9]])
     belief = delta(model.states, "s0")
-    horizon = 2
-    candidates = enumerate_policies(model, horizon=horizon, max_count=16)
-    table = expected_free_energy(model, rollout(model, belief, candidates))
+    table = expected_free_energy(model, rollout(model, belief, TWO_STEP))
     assert [bd.epistemic for bd in table] == pytest.approx([0.0] * 4, abs=1e-12)
-    assert [bd.total for bd in table] == pytest.approx([-horizon * math.log(0.5)] * 4, abs=1e-12)
+    assert [bd.total for bd in table] == pytest.approx([-2 * math.log(0.5)] * 4, abs=1e-12)
+    assert best_of(table) == 0  # an exact tie goes to the first declared
 
 
-def test_select_policy_prefers_lower_total_and_breaks_ties_by_order():
+def test_argmin_breaks_ties_by_listing_order():
     model = two_state_model([[0.9, 0.1], [0.1, 0.9]])
     belief = uniform(model.states)
     candidates = (Policy("first", ("go",)), Policy("second", ("stay",)))
-    chosen, table = select_policy(model, belief, candidates)
+    table = expected_free_energy(model, rollout(model, belief, candidates))
     # identity dynamics either way: exact tie, first listed wins
-    assert chosen.label == "first"
     assert table[0].total == pytest.approx(table[1].total, abs=1e-12)
+    assert best_of(table) == 0
+    # within TIE_ATOL is a tie; beyond it the lower total wins; masked never
+    assert argmin([1.0, 1.0 - TIE_ATOL / 2], [True, True]) == 0
+    assert argmin([1.0, 1.0 - 2 * TIE_ATOL], [True, True]) == 1
+    assert argmin([0.0, 1.0, 2.0], [False, True, True]) == 1
+    assert argmin([0.0, 1.0], [False, False]) is None
 
 
-def test_select_policy_argmin_matches_table():
+def test_argmin_matches_table():
     rng = np.random.default_rng(29)
     for _ in range(300):
         model, belief = random_model(rng)
         candidates = tuple(random_policy(rng, model) for _ in range(3))
-        chosen, table = select_policy(model, belief, candidates)
+        table = expected_free_energy(model, rollout(model, belief, candidates))
         best = min(t.total for t in table)
-        idx = [p.label for p in candidates].index(chosen.label)
-        assert table[idx].total <= best + 1e-9
+        assert table[best_of(table)].total <= best + 1e-9
 
 
-def test_select_policy_rejects_empty():
+def test_rollout_rejects_an_empty_candidate_set():
     model = two_state_model([[0.9, 0.1], [0.1, 0.9]])
     with pytest.raises(NoCandidateError):
-        select_policy(model, uniform(model.states), ())
+        rollout(model, uniform(model.states), ())
 
 
 def test_preference_shift_invariance():
@@ -167,9 +181,9 @@ def test_preference_shift_invariance():
             c=PreferenceModel(entries=(), channel_priors=shifted_priors),
             d=model.d,
         )
-        base_choice, _ = select_policy(model, belief, candidates)
-        shifted_choice, _ = select_policy(shifted, belief, candidates)
-        assert base_choice.label == shifted_choice.label
+        base = expected_free_energy(model, rollout(model, belief, candidates))
+        moved = expected_free_energy(shifted, rollout(shifted, belief, candidates))
+        assert best_of(base) == best_of(moved)
 
 
 def test_uniform_preferences_reduce_selection_to_information_gain():
@@ -187,36 +201,24 @@ def test_uniform_preferences_reduce_selection_to_information_gain():
             d=model.d,
         )
         candidates = tuple(random_policy(rng, model) for _ in range(3))
-        chosen, table = select_policy(flat, belief, candidates)
+        table = expected_free_energy(flat, rollout(flat, belief, candidates))
         # same-horizon candidates: pragmatic value is constant, so the
         # winner must carry the (near-)maximal information gain
         horizons = {len(p.actions) for p in candidates}
         if len(horizons) == 1:
             best_ig = max(t.epistemic for t in table)
-            idx = [p.label for p in candidates].index(chosen.label)
-            assert table[idx].epistemic >= best_ig - 1e-9
+            assert table[best_of(table)].epistemic >= best_ig - 1e-9
 
 
-def test_enumerate_policies_lexicographic():
+def test_rollout_keeps_the_declared_order_and_horizons():
     model = two_state_model([[0.9, 0.1], [0.1, 0.9]])
-    labels = [p.label for p in enumerate_policies(model, horizon=2, max_count=16)]
-    assert labels == ["go-go", "go-stay", "stay-go", "stay-stay"]
-
-
-def test_enumerate_policies_truncates_deterministically():
-    model = two_state_model([[0.9, 0.1], [0.1, 0.9]])
-    labels = [p.label for p in enumerate_policies(model, horizon=2, max_count=3)]
-    assert labels == ["go-go", "go-stay", "stay-go"]
-
-
-def test_enumerate_policies_prefers_declared_candidates():
-    declared = (Policy("named", ("go", "go")),)
-    model = two_state_model([[0.9, 0.1], [0.1, 0.9]], policies=declared)
-    model = GenerativeModel(
-        states=model.states, actions=model.actions, channels=model.channels,
-        a=model.a, b=model.b, c=model.c, d=model.d, policies=declared,
-    )
-    assert enumerate_policies(model, horizon=2, max_count=16) == declared
+    declared = (Policy("long", ("stay", "go", "go")), *reversed(TWO_STEP), Policy("one", ("go",)))
+    plan = rollout(model, uniform(model.states), declared)
+    assert plan.policies == declared
+    assert plan.starts.tolist() == [0, 3, 5, 7, 9, 11]
+    assert len(plan.states) == 12
+    table = expected_free_energy(model, plan)
+    assert [row.policy for row in table] == [p.label for p in declared]
 
 
 def test_efe_matches_path_enumeration_oracle():

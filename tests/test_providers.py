@@ -82,7 +82,8 @@ def test_response_wire_format_round_trips_ignoring_unknown_keys(assay):
     doc["rollout"] = [{"states": {"ph_ok": 1.0}, "observations": {}}]
     parsed = parse_response(json.loads(json.dumps(doc)))
     assert parsed.rationale == "why"
-    assert parsed.proposed_posterior.allclose(posterior)
+    assert parsed.proposed_posterior.labels == posterior.labels
+    assert np.array_equal(parsed.proposed_posterior.probs, posterior.probs)
 
 
 def test_parse_response_rejects_missing_posterior():

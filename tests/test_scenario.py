@@ -8,10 +8,13 @@ import re
 import numpy as np
 import pytest
 
+from actinf.agent import Agent, run_episode
 from actinf.errors import ScenarioError
-from actinf.lab import ENV_RANGES
+from actinf.lab import ENV_RANGES, READERS, LabEnv
+from actinf.providers import TabularProvider
 from actinf.scenario import (
     FALLBACK_POLICY,
+    MAX_SPAN_OUTCOMES,
     builtin_scenario_path,
     discretized_gaussian,
     load_scenario,
@@ -28,18 +31,18 @@ MINIMAL = """\
 labels = ok bad
 
 [channels]
-indicator = fine odd
+spillDetector = negative positive
 
 [actions]
 labels = look ask_for_help
 look.primitive = measure
-look.observes = indicator
+look.observes = spillDetector
 ask_for_help.primitive = ask_human
-ask_for_help.observes = indicator
+ask_for_help.observes = spillDetector
 
 [A]
-indicator.ok = 0.9 0.1
-indicator.bad = 0.2 0.8
+spillDetector.ok = 0.9 0.1
+spillDetector.bad = 0.2 0.8
 
 [B]
 look = identity
@@ -47,10 +50,10 @@ ask_for_help.ok = 1.0 0.0
 ask_for_help.bad = absorb
 
 [C]
-calm.channel = indicator
+calm.channel = spillDetector
 calm.weight = 0.9
-calm.prefer = fine
-calm.avoid = odd
+calm.prefer = negative
+calm.avoid = positive
 
 [D]
 initial = 0.7 0.3
@@ -60,11 +63,11 @@ watch = look look
 ask_human = ask_for_help look
 
 [environment]
-start_channel = indicator
+start_channel = spillDetector
 
 [agent]
 fallback_policy = ask_human
-probe_channel = indicator
+probe_channel = spillDetector
 """
 
 
@@ -79,8 +82,8 @@ def test_minimal_inline_scenario_loads():
     assert scenario.model.states == ("ok", "bad")
     assert scenario.model.actions == ("look", "ask_for_help")
     assert [p.label for p in scenario.model.policies] == ["watch", FALLBACK_POLICY]
-    assert scenario.actions["look"].observes == "indicator"
-    assert scenario.env.start_channel == "indicator"
+    assert scenario.actions["look"].observes == "spillDetector"
+    assert scenario.env.start_channel == "spillDetector"
     # identity and absorb shorthands
     assert np.array_equal(scenario.model.b.matrix("look"), np.eye(2))
     assert np.array_equal(scenario.model.b.matrix("ask_for_help")[1], [0.0, 1.0])
@@ -100,21 +103,66 @@ def test_missing_section_is_addressed():
 
 
 def test_wrong_row_width_is_addressed():
-    broken = MINIMAL.replace("indicator.ok = 0.9 0.1", "indicator.ok = 0.9")
-    with pytest.raises(ScenarioError, match=r"\[A\] indicator.ok: expected 2 entries"):
+    broken = MINIMAL.replace("spillDetector.ok = 0.9 0.1", "spillDetector.ok = 0.9")
+    with pytest.raises(ScenarioError, match=r"\[A\] spillDetector.ok: expected 2 entries"):
         load_scenario(broken)
 
 
 def test_non_normalized_row_fails_model_validation():
-    broken = MINIMAL.replace("indicator.ok = 0.9 0.1", "indicator.ok = 0.6 0.3")
+    broken = MINIMAL.replace("spillDetector.ok = 0.9 0.1", "spillDetector.ok = 0.6 0.3")
     with pytest.raises(ScenarioError, match="invalid model"):
         load_scenario(broken)
 
 
 def test_unknown_observed_channel_is_addressed():
-    broken = MINIMAL.replace("look.observes = indicator", "look.observes = nope")
+    broken = MINIMAL.replace("look.observes = spillDetector", "look.observes = nope")
     with pytest.raises(ScenarioError, match=r"\[actions\] look.observes: unknown channel"):
         load_scenario(broken)
+
+
+# MINIMAL plus a channel the simulator has no reader for
+WITH_ODOR = (
+    MINIMAL.replace("[channels]\n", "[channels]\nodor = faint strong\n")
+    .replace("[A]\n", "[A]\nodor.ok = uniform\nodor.bad = uniform\n")
+)
+
+
+@pytest.mark.parametrize("line, broken, address", [
+    ("look.observes = spillDetector", "look.observes = odor", "[actions] look.observes"),
+    ("start_channel = spillDetector", "start_channel = odor", "[environment] start_channel"),
+])
+def test_a_channel_the_simulator_cannot_read_is_addressed(line, broken, address):
+    # the model may declare it; an episode can never observe it
+    assert load_scenario(WITH_ODOR).model.channels["odor"] == ("faint", "strong")
+    with pytest.raises(ScenarioError) as info:
+        load_scenario(WITH_ODOR.replace(line, broken))
+    assert str(info.value) == (f"inline: {address}: the simulator cannot read channel 'odor'; "
+                               f"it reads {', '.join(READERS)}")
+
+
+def test_every_reader_reads_its_channel_and_minimal_runs():
+    scenario = resolve_scenario("lab_assay")
+    env = LabEnv(scenario.env, scenario.model.channels, seed=1)
+    for channel in READERS:
+        assert env.observe(channel).outcome in scenario.model.channels[channel]
+    # the loader only passes channels an episode can observe
+    minimal = load_scenario(MINIMAL)
+    agent = Agent(minimal.model, minimal.agent, TabularProvider(minimal.model), minimal.actions)
+    result, _ = run_episode(agent, LabEnv(minimal.env, minimal.model.channels, seed=1),
+                            max_steps=4)
+    assert result.steps >= 1
+
+
+@pytest.mark.parametrize("raw", ["", "   "])
+def test_an_empty_policy_is_addressed(raw):
+    with pytest.raises(ScenarioError) as info:
+        load_scenario(with_line("policies", f"nothing = {raw}"))
+    assert str(info.value) == "inline: [policies] nothing: expected at least one action"
+
+
+def test_a_policy_may_repeat_an_action():
+    scenario = load_scenario(with_line("policies", "look_twice = look look look"))
+    assert scenario.model.policy("look_twice").actions == ("look", "look", "look")
 
 
 def test_unknown_agent_key_is_addressed():
@@ -126,14 +174,14 @@ def test_unknown_agent_key_is_addressed():
 def test_undeclared_probe_channel_is_addressed():
     # the dose would never find a reading, and every seed would hand off
     with pytest.raises(ScenarioError) as info:
-        load_scenario(MINIMAL.replace("probe_channel = indicator", "probe_channel = phprobe"))
+        load_scenario(MINIMAL.replace("probe_channel = spillDetector", "probe_channel = phprobe"))
     assert str(info.value) == "inline: [agent] probe_channel: unknown channel 'phprobe'"
 
 
 @pytest.mark.parametrize("line, broken, message", [
     ("fallback_policy = ask_human", "fallback_policy = nobody",
      "inline: [agent] fallback_policy: unknown policy 'nobody'"),
-    ("start_channel = indicator", "start_channel = nope",
+    ("start_channel = spillDetector", "start_channel = nope",
      "inline: [environment] start_channel: unknown channel 'nope'"),
 ])
 def test_undeclared_fallback_and_start_channel_are_addressed(line, broken, message):
@@ -150,8 +198,8 @@ def with_line(section: str, line: str) -> str:
 
 @pytest.mark.parametrize("section, line, address", [
     ("environment", "noise_scale = x", "[environment] noise_scale: expected float, got 'x'"),
-    ("agent", "max_candidates = 2.5", "[agent] max_candidates: expected int, got '2.5'"),
-    ("agent", "planning_horizon = two", "[agent] planning_horizon: expected int, got 'two'"),
+    ("agent", "vfe_baseline_window = 2.5", "[agent] vfe_baseline_window: expected int, got '2.5'"),
+    ("agent", "vfe_baseline_window = two", "[agent] vfe_baseline_window: expected int, got 'two'"),
 ])
 def test_spec_values_must_have_their_field_type(section, line, address):
     with pytest.raises(ScenarioError) as info:
@@ -161,9 +209,7 @@ def test_spec_values_must_have_their_field_type(section, line, address):
 
 # one out-of-range value for each range check of AgentConfig
 AGENT_RANGE_CASES = [
-    ("planning_horizon", "0", "planning_horizon must be >= 1"),
     ("vfe_baseline_window", "0", "vfe_baseline_window must be >= 1"),
-    ("max_candidates", "0", "max_candidates must be >= 1"),
     ("refinement_threshold", "-0.5", "refinement_threshold must be >= 0"),
     ("veto_outcome_mass", "-1", "veto_outcome_mass must be in [0, 1]"),
     ("veto_probability", "0", "veto_probability must be in (0, 1]"),
@@ -221,29 +267,21 @@ def test_nan_environment_values_are_out_of_range(key):
 def test_spec_values_are_read_as_their_field_type():
     scenario = load_scenario(with_line("environment", "noise_scale = 2"))
     assert type(scenario.env.noise_scale) is float and scenario.env.noise_scale == 2.0
-    scenario = load_scenario(with_line("agent", "planning_horizon = 1"))
-    assert type(scenario.agent.planning_horizon) is int
+    scenario = load_scenario(with_line("agent", "vfe_baseline_window = 1"))
+    assert type(scenario.agent.vfe_baseline_window) is int
 
 
 @pytest.mark.parametrize("section, line, owner", [
     ("environment", "target_ph = 7.4", "EnvSpec"),
     ("agent", "frequency_lr = 0.1", "AgentConfig"),
     ("agent", "acidification_frequency = 0.05", "AgentConfig"),
+    ("agent", "planning_horizon = 2", "AgentConfig"),
+    ("agent", "max_candidates = 16", "AgentConfig"),
 ])
 def test_removed_write_only_fields_are_unknown(section, line, owner):
     key = line.split(" =")[0]
     with pytest.raises(ScenarioError, match=rf"\[{section}\] {key}: unknown {owner} field"):
         load_scenario(with_line(section, line))
-
-
-def test_declared_policies_beyond_max_candidates_are_rejected():
-    # MINIMAL declares two policies; the planner would never score the second
-    with pytest.raises(
-        ScenarioError,
-        match=r"inline: \[agent\] max_candidates: 2 declared policies exceed the limit of 1",
-    ):
-        load_scenario(with_line("agent", "max_candidates = 1"))
-    assert load_scenario(with_line("agent", "max_candidates = 2")).agent.max_candidates == 2
 
 
 def test_missing_fallback_policy_is_rejected():
@@ -267,21 +305,67 @@ def test_duplicate_keys_are_rejected():
 
 def test_bad_gauss_spec_is_addressed():
     numeric = (
-        MINIMAL.replace("indicator = fine odd", "indicator = 1.0 2.0")
-        .replace("calm.prefer = fine", "calm.prefer = 1.0")
-        .replace("calm.avoid = odd", "calm.avoid = 2.0")
+        MINIMAL.replace("spillDetector = negative positive", "spillDetector = 1.0 2.0")
+        .replace("calm.prefer = negative", "calm.prefer = 1.0")
+        .replace("calm.avoid = positive", "calm.avoid = 2.0")
     )
-    broken = numeric.replace("indicator.ok = 0.9 0.1", "indicator.ok = gauss 7.4")
-    with pytest.raises(ScenarioError, match=r"\[A\] indicator.ok: bad gauss spec"):
+    broken = numeric.replace("spillDetector.ok = 0.9 0.1", "spillDetector.ok = gauss 7.4")
+    with pytest.raises(ScenarioError, match=r"\[A\] spillDetector.ok: bad gauss spec"):
         load_scenario(broken)
-    okay = numeric.replace("indicator.ok = 0.9 0.1", "indicator.ok = gauss 1.0 0.3")
-    assert load_scenario(okay).model.a.matrices["indicator"][0].sum() == pytest.approx(1.0)
+    okay = numeric.replace("spillDetector.ok = 0.9 0.1", "spillDetector.ok = gauss 1.0 0.3")
+    assert load_scenario(okay).model.a.matrices["spillDetector"][0].sum() == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("sigma", ["0", "-0.3", "nan"])
+def test_a_gauss_without_a_positive_sigma_is_addressed(sigma, monkeypatch):
+    numeric = (
+        MINIMAL.replace("spillDetector = negative positive", "spillDetector = 1.0 2.0")
+        .replace("calm.prefer = negative", "calm.prefer = 1.0")
+        .replace("calm.avoid = positive", "calm.avoid = 2.0")
+    )
+    # refused at its address before any row is computed
+    monkeypatch.setattr("actinf.scenario.discretized_gaussian", None)
+    broken = numeric.replace("spillDetector.bad = 0.2 0.8", f"spillDetector.bad = gauss 1.5 {sigma}")
+    with pytest.raises(ScenarioError) as info:
+        load_scenario(broken)
+    assert str(info.value) == (
+        f"inline: [A] spillDetector.bad: gauss needs sigma > 0, got {float(sigma)}"
+    )
 
 
 def test_gauss_on_textual_channel_is_rejected():
-    broken = MINIMAL.replace("indicator.ok = 0.9 0.1", "indicator.ok = gauss 7.4 0.2")
-    with pytest.raises(ScenarioError, match=r"\[A\] indicator.ok: .*channel 'indicator' has non-numeric"):
+    broken = MINIMAL.replace("spillDetector.ok = 0.9 0.1", "spillDetector.ok = gauss 7.4 0.2")
+    with pytest.raises(ScenarioError,
+                       match=r"\[A\] spillDetector.ok: .*channel 'spillDetector' has non-numeric"):
         load_scenario(broken)
+
+
+@pytest.mark.parametrize("spec, count", [
+    ("span 0 1 1e-10", "1e+10"),  # was a 74.5 GiB allocation in np.arange
+    ("span 0 1 5e-324", "inf"),  # the count overflows
+    (f"span 0 {MAX_SPAN_OUTCOMES} 1 int", f"{MAX_SPAN_OUTCOMES + 1:.3g}"),
+])
+def test_a_span_with_too_many_outcomes_is_addressed(spec, count, monkeypatch):
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("np.arange reached")
+
+    monkeypatch.setattr(np, "arange", no_allocation)
+    with pytest.raises(ScenarioError) as info:
+        load_scenario(MINIMAL.replace("spillDetector = negative positive", f"spillDetector = {spec}"))
+    assert str(info.value) == (f"inline: [channels] spillDetector: span gives {count} outcomes, "
+                               f"more than {MAX_SPAN_OUTCOMES}")
+
+
+def test_a_span_at_the_outcome_limit_loads():
+    at_limit = (
+        MINIMAL.replace("spillDetector = negative positive",
+                        f"spillDetector = span 1 {MAX_SPAN_OUTCOMES} 1 int")
+        .replace("spillDetector.ok = 0.9 0.1", "spillDetector.ok = uniform")
+        .replace("spillDetector.bad = 0.2 0.8", "spillDetector.bad = uniform")
+        .replace("calm.prefer = negative", "calm.prefer = le 10")
+        .replace("calm.avoid = positive", "calm.avoid = 1")
+    )
+    assert len(load_scenario(at_limit).model.channels["spillDetector"]) == MAX_SPAN_OUTCOMES
 
 
 def test_span_shorthand_builds_numeric_grids(assay):
@@ -345,7 +429,7 @@ def test_numeric_predicates_expand_to_outcome_sets(assay):
 
 
 def test_predicate_with_unknown_literal_is_addressed():
-    broken = MINIMAL.replace("calm.avoid = odd", "calm.avoid = weird")
+    broken = MINIMAL.replace("calm.avoid = positive", "calm.avoid = weird")
     with pytest.raises(ScenarioError, match=r"\[C\] calm.avoid: unknown outcome 'weird'"):
         load_scenario(broken)
 
@@ -453,22 +537,22 @@ def test_bad_span_is_addressed(spec):
 
 def test_span_decimals_follow_both_start_and_step():
     numeric = (
-        MINIMAL.replace("indicator = fine odd", "indicator = span 0 1 0.25")
-        .replace("indicator.ok = 0.9 0.1", "indicator.ok = gauss 0.25 0.1")
-        .replace("indicator.bad = 0.2 0.8", "indicator.bad = gauss 0.75 0.1")
-        .replace("calm.prefer = fine", "calm.prefer = le 0.5")
-        .replace("calm.avoid = odd", "calm.avoid = 1.00")
+        MINIMAL.replace("spillDetector = negative positive", "spillDetector = span 0 1 0.25")
+        .replace("spillDetector.ok = 0.9 0.1", "spillDetector.ok = gauss 0.25 0.1")
+        .replace("spillDetector.bad = 0.2 0.8", "spillDetector.bad = gauss 0.75 0.1")
+        .replace("calm.prefer = negative", "calm.prefer = le 0.5")
+        .replace("calm.avoid = positive", "calm.avoid = 1.00")
     )
     scenario = load_scenario(numeric)
-    assert scenario.model.channels["indicator"] == ("0.00", "0.25", "0.50", "0.75", "1.00")
+    assert scenario.model.channels["spillDetector"] == ("0.00", "0.25", "0.50", "0.75", "1.00")
     assert scenario.model.c.entries[0].prefer == ("0.00", "0.25", "0.50")
     # a whole step and a fractional start
     halves = (
-        MINIMAL.replace("indicator = fine odd", "indicator = span 0.5 2 1")
-        .replace("calm.prefer = fine", "calm.prefer = 0.5")
-        .replace("calm.avoid = odd", "calm.avoid = 1.5")
+        MINIMAL.replace("spillDetector = negative positive", "spillDetector = span 0.5 2 1")
+        .replace("calm.prefer = negative", "calm.prefer = 0.5")
+        .replace("calm.avoid = positive", "calm.avoid = 1.5")
     )
-    assert load_scenario(halves).model.channels["indicator"] == ("0.5", "1.5")
+    assert load_scenario(halves).model.channels["spillDetector"] == ("0.5", "1.5")
 
 
 @pytest.mark.parametrize("section, line", [
@@ -571,61 +655,61 @@ def test_load_scenario_addresses_a_rejected_line_by_file_name(tmp_path):
 
 def test_decreasing_numeric_channel_is_addressed():
     broken = (
-        MINIMAL.replace("indicator = fine odd", "indicator = 2 1")
-        .replace("calm.prefer = fine", "calm.prefer = 2")
-        .replace("calm.avoid = odd", "calm.avoid = 1")
+        MINIMAL.replace("spillDetector = negative positive", "spillDetector = 2 1")
+        .replace("calm.prefer = negative", "calm.prefer = 2")
+        .replace("calm.avoid = positive", "calm.avoid = 1")
     )
     with pytest.raises(ScenarioError,
-                       match=r"^inline: \[channels\] indicator: numeric outcomes must increase$"):
+                       match=r"^inline: \[channels\] spillDetector: numeric outcomes must increase$"):
         load_scenario(broken)
 
 
 def test_uneven_grid_is_no_gauss_grid():
     uneven = (
-        MINIMAL.replace("indicator = fine odd", "indicator = 0 100 200.001")
-        .replace("indicator.ok = 0.9 0.1", "indicator.ok = gauss 0 5")
-        .replace("indicator.bad = 0.2 0.8", "indicator.bad = 0.2 0.3 0.5")
-        .replace("calm.prefer = fine", "calm.prefer = 0")
-        .replace("calm.avoid = odd", "calm.avoid = 200.001")
+        MINIMAL.replace("spillDetector = negative positive", "spillDetector = 0 100 200.001")
+        .replace("spillDetector.ok = 0.9 0.1", "spillDetector.ok = gauss 0 5")
+        .replace("spillDetector.bad = 0.2 0.8", "spillDetector.bad = 0.2 0.3 0.5")
+        .replace("calm.prefer = negative", "calm.prefer = 0")
+        .replace("calm.avoid = positive", "calm.avoid = 200.001")
     )
-    with pytest.raises(ScenarioError, match=r"\[A\] indicator.ok: gauss needs a number grid: "
-                                            r"channel 'indicator': outcome grid must be evenly spaced"):
+    with pytest.raises(ScenarioError, match=r"\[A\] spillDetector.ok: gauss needs a number grid: "
+                                            r"channel 'spillDetector': outcome grid must be evenly spaced"):
         load_scenario(uneven)
     # an even grid written with a step that floats cannot hold exactly still passes
     even = uneven.replace("0 100 200.001", "0 0.1 0.2").replace("gauss 0 5", "gauss 0.1 0.05")
-    assert load_scenario(even.replace("= 200.001", "= 0.2")).model.channels["indicator"][2] == "0.2"
+    assert load_scenario(even.replace("= 200.001", "= 0.2")).model.channels["spillDetector"][2] == "0.2"
 
 
 @pytest.mark.parametrize("outcomes, low, high", [("0 inf", "0", "inf"), ("-inf 0", "-inf", "0"),
                                                  ("1e999", "1e999", "")])
 def test_non_finite_numeric_channel_is_addressed(outcomes, low, high):
     broken = (
-        MINIMAL.replace("indicator = fine odd", f"indicator = {outcomes}")
-        .replace("calm.prefer = fine", f"calm.prefer = {low}")
-        .replace("calm.avoid = odd", f"calm.avoid = {high}")
-        .replace("indicator.ok = 0.9 0.1", "indicator.ok = uniform")
-        .replace("indicator.bad = 0.2 0.8", "indicator.bad = uniform")
+        MINIMAL.replace("spillDetector = negative positive", f"spillDetector = {outcomes}")
+        .replace("calm.prefer = negative", f"calm.prefer = {low}")
+        .replace("calm.avoid = positive", f"calm.avoid = {high}")
+        .replace("spillDetector.ok = 0.9 0.1", "spillDetector.ok = uniform")
+        .replace("spillDetector.bad = 0.2 0.8", "spillDetector.bad = uniform")
     )
     with pytest.raises(ScenarioError,
-                       match=r"^inline: \[channels\] indicator: numeric outcomes must be finite$"):
+                       match=r"^inline: \[channels\] spillDetector: numeric outcomes must be finite$"):
         load_scenario(broken)
 
 
 def test_grid_spacing_tolerance_is_one_billionth():
     def with_top(top):
         return (
-            MINIMAL.replace("indicator = fine odd", f"indicator = 0 1 {top}")
-            .replace("indicator.ok = 0.9 0.1", "indicator.ok = gauss 1 0.5")
-            .replace("indicator.bad = 0.2 0.8", "indicator.bad = 0.2 0.3 0.5")
-            .replace("calm.prefer = fine", "calm.prefer = 0")
-            .replace("calm.avoid = odd", f"calm.avoid = {top}")
+            MINIMAL.replace("spillDetector = negative positive", f"spillDetector = 0 1 {top}")
+            .replace("spillDetector.ok = 0.9 0.1", "spillDetector.ok = gauss 1 0.5")
+            .replace("spillDetector.bad = 0.2 0.8", "spillDetector.bad = 0.2 0.3 0.5")
+            .replace("calm.prefer = negative", "calm.prefer = 0")
+            .replace("calm.avoid = positive", f"calm.avoid = {top}")
         )
 
     # steps 1 and 1.0000000009 differ by less than 1e-9: still a grid
-    row = load_scenario(with_top("2.0000000009")).model.a.matrices["indicator"][0]
+    row = load_scenario(with_top("2.0000000009")).model.a.matrices["spillDetector"][0]
     assert row.tobytes() == discretized_gaussian(np.array([0.0, 1.0, 2.0000000009]), 1.0, 0.5).tobytes()
-    with pytest.raises(ScenarioError, match=r"\[A\] indicator.ok: gauss needs a number grid: "
-                                            r"channel 'indicator': outcome grid must be evenly spaced"):
+    with pytest.raises(ScenarioError, match=r"\[A\] spillDetector.ok: gauss needs a number grid: "
+                                            r"channel 'spillDetector': outcome grid must be evenly spaced"):
         load_scenario(with_top("2.0000000011"))
 
 

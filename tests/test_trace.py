@@ -18,7 +18,6 @@ from actinf.trace import (
     LedgerRow,
     TraceEvent,
     build_ledger,
-    emit_ledger,
     emit_trace,
     event_json,
     read_trace,
@@ -164,10 +163,9 @@ def test_empty_trace_gives_empty_ledger():
     assert render_ledger(ledger) == "operations: none\n"
 
 
-def test_render_ledger_layout_and_determinism(tmp_path):
+def test_render_ledger_layout_and_determinism():
     events = [make_event(0, vfe_total=1.5, op_counts=dict(zip(COUNTER_KEYS, (1, 4, 8, 1, 1))))]
-    ledger, text = emit_ledger(events, baseline=0.5, path=str(tmp_path / "l.txt"))
-    assert (tmp_path / "l.txt").read_text(encoding="utf-8") == text
+    text = render_ledger(build_ledger(events, baseline=0.5))
     lines = text.splitlines()
     assert lines[0].split() == ["step", "stage", "free", "energy", "(nats)", "explanation"]
     assert lines[1].startswith("-     initial")
