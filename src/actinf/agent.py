@@ -29,9 +29,12 @@ computing it again, and the ``expectedSurprise`` of step t+1 is the
 ``entropy`` that step t sent. The initial state prior is used only
 before the first observation.
 
-The replan's scores, the pushed prediction and the predictive a step
-scores against depend on (model, belief) alone; the model computes
-each once and memoizes it. The provider is asked on every step.
+The replan's scores, the pushed prediction, the predictive a step
+scores against and the step's free energy are pure functions of the
+model and the beliefs, action, channel and outcome they are computed
+from; the model computes each once and memoizes it. The agent asks its
+provider on every step; the tabular provider memoizes its own exact
+update on its model.
 
 After an episode ``Agent.propagate_refinement`` returns the summaries
 and a refined (model, config) and changes nothing; a caller that
@@ -215,8 +218,11 @@ class Agent:
                  excess=excess, baseline=baseline)
 
         posterior, provider_error = self._update_belief(history, prior, counts)
-        column = self.model.a.likelihood_column(obs.channel, obs.outcome)
-        vfe = compute_vfe(posterior, prior, column)
+        vfe = self.model.memoized(
+            ("vfe", posterior.probs.tobytes(), prior.probs.tobytes(), obs.channel, obs.outcome),
+            lambda: compute_vfe(posterior, prior,
+                                self.model.a.likelihood_column(obs.channel, obs.outcome)),
+        )
 
         efe_table = ()
         selected = None

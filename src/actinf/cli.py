@@ -31,7 +31,7 @@ def build_provider(ref: str, scenario: Scenario):
     )
 
 
-def _seed(text: str) -> int:
+def _non_negative(text: str) -> int:
     if not re.fullmatch(r"\d+", text):
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
     return int(text)
@@ -163,12 +163,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run one seeded episode")
     run.add_argument("--scenario", required=True, help="bundled name or path to .ini")
-    run.add_argument("--seed", type=_seed, default=0)
+    run.add_argument("--seed", type=_non_negative, default=0)
     run.add_argument("--trace", help="write the JSONL trace here")
     run.add_argument("--ledger", help="write the rendered free-energy ledger here")
     run.add_argument("--provider", default="tabular",
                      help="tabular | scripted:<path> | remote:<url>")
-    run.add_argument("--max-steps", type=int, default=20)
+    run.add_argument("--max-steps", type=_non_negative, default=20)
     run.set_defaults(func=_cmd_run)
 
     validate = sub.add_parser("validate", help="load and validate a scenario")
@@ -180,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--seeds", type=_seed_range, default=(1, 100), metavar="a..b")
     sweep.add_argument("--summary", help="write the JSON summary here")
     sweep.add_argument("--provider", default="tabular")
-    sweep.add_argument("--max-steps", type=int, default=20)
+    sweep.add_argument("--max-steps", type=_non_negative, default=20)
     sweep.set_defaults(func=_cmd_sweep)
     return parser
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -23,7 +24,17 @@ from .errors import ScenarioError, ShapeError, check_ranges
 INDICATOR_YELLOW_BELOW = 7.0
 INDICATOR_BLUE_ABOVE = 8.0
 
-PRIMITIVES = ("measure", "titrate", "mix", "heat", "wait", "ask_human", "discard")
+# each primitive and the params it reads from its action, by name
+PRIMITIVE_PARAMS = {
+    "measure": (),
+    "titrate": ("volume_ul", "rate_ul_per_s", "reagent", "mix_seconds"),
+    "mix": ("seconds",),
+    "heat": ("minutes",),
+    "wait": ("minutes",),
+    "ask_human": (),
+    "discard": (),
+}
+PRIMITIVES = tuple(PRIMITIVE_PARAMS)
 
 
 @dataclass(frozen=True)
@@ -184,7 +195,7 @@ class LabEnv:
             raise ShapeError(f"unknown channel {channel!r}")
         if channel not in READERS:
             raise ShapeError(f"no reader for channel {channel!r}")
-        outcome = READERS[channel](self)
+        outcome = READERS[channel].read(self)
         obs = Observation(channel=channel, outcome=outcome, t=self._observed)
         self._observed += 1
         if (
@@ -329,11 +340,20 @@ def _parse_bins(name: str, outcomes: tuple[str, ...]) -> np.ndarray | None:
     return values
 
 
-# the channels the simulator can read, each with its ``LabEnv`` reader
+class Reader(NamedTuple):
+    """How the simulator reads one channel, and what the reading can be."""
+
+    read: Callable[[LabEnv], str]
+    # the fixed labels the reader returns, or None for a number that it
+    # snaps to the nearest of the channel's (numeric) outcomes
+    labels: tuple[str, ...] | None
+
+
+# the channels the simulator can read, each with its reader
 READERS = {
-    "indicatorColor": LabEnv._read_indicator_color,
-    "phProbe": LabEnv._read_ph_probe,
-    "fluorescence": LabEnv._read_fluorescence,
-    "tempProbe": LabEnv._read_temp_probe,
-    "spillDetector": LabEnv._read_spill_detector,
+    "indicatorColor": Reader(LabEnv._read_indicator_color, ("yellow", "green", "blue")),
+    "phProbe": Reader(LabEnv._read_ph_probe, None),
+    "fluorescence": Reader(LabEnv._read_fluorescence, None),
+    "tempProbe": Reader(LabEnv._read_temp_probe, None),
+    "spillDetector": Reader(LabEnv._read_spill_detector, ("negative", "positive")),
 }

@@ -188,8 +188,9 @@ class GenerativeModel:
     A model is a value: besides its components it holds only what it
     derives from them, the ``stacked`` planner arrays and the ``memo``
     of computed results (the agent's EFE tables and vetoes, pushed
-    predictions and predictives, each computed once per distinct
-    belief). A model built from another, by
+    predictions, predictives and free energies, and the tabular
+    provider's exact posteriors, each computed once per distinct
+    key). A model built from another, by
     ``dataclasses.replace`` or by refinement, starts without either,
     so nothing computed under other parameters is ever served.
     """

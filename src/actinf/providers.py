@@ -127,7 +127,12 @@ class WorldModelProvider(abc.ABC):
 
 
 class TabularProvider(WorldModelProvider):
-    """Exact Bayes over the model it was built with: the reference engine."""
+    """Exact Bayes over the model it was built with: the reference engine.
+
+    The response is a pure function of the belief's labels and numbers
+    and the latest observation, so the model's memo keeps it under
+    those; a failed update raises and is never stored.
+    """
 
     name = "tabular"
 
@@ -138,9 +143,15 @@ class TabularProvider(WorldModelProvider):
         if not query.observation_history:
             raise ProviderError("cannot infer from an empty history", payload=None)
         obs = query.observation_history[-1]
+        belief = query.current_belief
+        # labels too: bayes_update checks the belief's shape only
+        key = ("bayes", belief.labels, belief.probs.tobytes(), obs.channel, obs.outcome)
+        return self.model.memoized(key, lambda: self._update(belief, obs))
+
+    def _update(self, belief: CategoricalDistribution, obs) -> WorldModelResponse:
         try:
             column = self.model.a.likelihood_column(obs.channel, obs.outcome)
-            posterior = bayes_update(query.current_belief, column, obs=obs)
+            posterior = bayes_update(belief, column, obs=obs)
         except EngineError as exc:
             raise ProviderError(str(exc), payload=None) from exc
         return WorldModelResponse(

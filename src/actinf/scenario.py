@@ -17,9 +17,13 @@ increasing; ``gauss`` and the predicates also need them evenly spaced
 (every step within 1e-9 of the first). A ``span`` gives at most
 MAX_SPAN_OUTCOMES outcomes and a ``gauss`` needs sigma > 0. A channel
 that an action observes, or that the environment starts on, must be one
-the simulator reads (``lab.READERS``). A policy lists at least one
-action; an action may repeat. A bundled scenario is named
-plainly: a name with '/' or '\\' in it, or starting with '.', names none.
+the simulator reads (``lab.READERS``), with the outcomes its reader
+gives: that reader's labels, or numbers for a probe. Each [actions] key
+other than ``labels`` is ``<action>.primitive``, ``<action>.observes``
+or a param that the action's primitive reads (``lab.PRIMITIVE_PARAMS``).
+A policy lists at least one action; an action may repeat. A bundled
+scenario is named plainly: a name with '/' or '\\' in it, or starting
+with '.', names none.
 
 The document grammar is line-based and deliberately small:
 
@@ -47,7 +51,7 @@ import numpy as np
 from .agent import AgentConfig
 from .dists import CategoricalDistribution
 from .errors import DegenerateDistributionError, ModelValidationError, ScenarioError
-from .lab import READERS, ActionSpec, EnvSpec, PRIMITIVES
+from .lab import PRIMITIVE_PARAMS, PRIMITIVES, READERS, ActionSpec, EnvSpec
 from .model import (
     GenerativeModel,
     ObservationModel,
@@ -330,24 +334,22 @@ def load_scenario(path_or_text, name: str = "") -> Scenario:
     # [actions]
     actions_raw = doc.section("actions")
     action_labels = _parse_labels(doc, "actions", "labels", actions_raw.get("labels", ""))
-    # each "<label>.<param>" key, at every '.' that ends a declared label
-    params: dict[str, dict] = {label: {} for label in action_labels}
-    for key, raw in actions_raw.items():
-        dot = key.find(".")
-        while dot >= 0:
-            param = key[dot + 1:]
-            if key[:dot] in params and param not in ("primitive", "observes"):
-                params[key[:dot]][param] = _coerce(raw)
-            dot = key.find(".", dot + 1)
-    actions: dict[str, ActionSpec] = {}
+    primitives = {}
     for label in action_labels:
-        primitive = actions_raw.get(f"{label}.primitive")
-        observes = actions_raw.get(f"{label}.observes")
+        primitive = primitives[label] = actions_raw.get(f"{label}.primitive")
         if primitive not in PRIMITIVES:
             doc.fail("actions", f"{label}.primitive", f"expected one of {PRIMITIVES}, got {primitive!r}")
-        _check_readable(doc, "actions", f"{label}.observes", observes, channels)
-        actions[label] = ActionSpec(label=label, primitive=primitive, observes=observes,
-                                    params=params[label])
+        _check_readable(doc, "actions", f"{label}.observes",
+                        actions_raw.get(f"{label}.observes"), channels)
+    params: dict[str, dict] = {label: {} for label in action_labels}
+    for key, raw in actions_raw.items():
+        if key != "labels":
+            _read_action_key(doc, key, raw, primitives, params)
+    actions = {
+        label: ActionSpec(label=label, primitive=primitives[label],
+                          observes=actions_raw[f"{label}.observes"], params=params[label])
+        for label in action_labels
+    }
 
     # [A]
     a_raw = doc.section("A")
@@ -452,9 +454,44 @@ def load_scenario(path_or_text, name: str = "") -> Scenario:
     if agent.fallback_policy not in labels:
         doc.fail("agent", "fallback_policy", f"unknown policy {agent.fallback_policy!r}")
     _check_readable(doc, "environment", "start_channel", env.start_channel, channels)
+    read = {spec.observes for spec in actions.values()} | {env.start_channel}
+    for channel, outcomes in channels.items():
+        if channel in read:
+            _check_outcomes(doc, channel, outcomes)
     if agent.probe_channel not in channels:
         doc.fail("agent", "probe_channel", f"unknown channel {agent.probe_channel!r}")
     return Scenario(name=name, model=model, env=env, actions=actions, agent=agent)
+
+
+def _read_action_key(doc: _Doc, key: str, raw: str, primitives: dict[str, str],
+                     params: dict[str, dict]) -> None:
+    """File one ``<label>.<field>`` key of [actions] under its action.
+
+    A label may hold a '.', so every '.' that ends a declared label is
+    tried. The key fails at its address unless at least one split names
+    ``primitive``, ``observes`` or a param that the action's primitive
+    reads; each such param is kept.
+    """
+    splits = []
+    dot = key.find(".")
+    while dot >= 0:
+        if key[:dot] in primitives:
+            splits.append((key[:dot], key[dot + 1:]))
+        dot = key.find(".", dot + 1)
+    if not splits:
+        doc.fail("actions", key, f"names no declared action; declared: {' '.join(primitives)}")
+    read = False
+    for label, name in splits:
+        reads = PRIMITIVE_PARAMS[primitives[label]]
+        if name in reads:
+            params[label][name] = _coerce(raw)
+        read = read or name in reads or name in ("primitive", "observes")
+    if not read:
+        label, name = splits[-1]
+        primitive = primitives[label]
+        reads = " ".join(PRIMITIVE_PARAMS[primitive]) or "none"
+        doc.fail("actions", key, f"primitive {primitive!r} reads no param {name!r}; "
+                                 f"it reads: {reads}")
 
 
 def _check_readable(doc: _Doc, section: str, key: str, channel, channels) -> None:
@@ -464,6 +501,22 @@ def _check_readable(doc: _Doc, section: str, key: str, channel, channels) -> Non
     if channel not in READERS:
         doc.fail(section, key, f"the simulator cannot read channel {channel!r}; "
                                f"it reads {', '.join(READERS)}")
+
+
+def _check_outcomes(doc: _Doc, channel: str, outcomes: tuple[str, ...]) -> None:
+    """Fail at ``[channels] channel`` unless its outcomes are what its reader gives."""
+    labels = READERS[channel].labels
+    if labels is None:
+        for outcome in outcomes:
+            try:
+                float(outcome)
+            except ValueError:
+                doc.fail("channels", channel,
+                         f"the simulator reads a number here and snaps it to the nearest "
+                         f"outcome, so every outcome must be a number; got {outcome!r}")
+    elif set(outcomes) != set(labels):
+        doc.fail("channels", channel, f"declared {' '.join(outcomes)}, but the simulator "
+                                      f"reads exactly {' '.join(labels)} here")
 
 
 def _build_spec(doc: _Doc, section: str, cls):

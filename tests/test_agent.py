@@ -16,9 +16,9 @@ from actinf.agent import (
     run_episode,
     titration_effect,
 )
-from actinf.dists import normalize
+from actinf.dists import CategoricalDistribution, normalize
 from actinf.errors import ModelValidationError, ProviderError, ShapeError
-from actinf.inference import VfeReport
+from actinf.inference import VfeReport, bayes_update, compute_vfe
 from actinf.lab import ActionSpec, EnvSpec, LabEnv, LabState, Observation
 from actinf.model import (
     MEMO_SIZE,
@@ -31,6 +31,7 @@ from actinf.model import (
 )
 from actinf.planning import expected_free_energy, rollout
 from actinf.providers import (
+    ScriptedProvider,
     TabularProvider,
     WorldModelProvider,
     WorldModelResponse,
@@ -812,9 +813,10 @@ def test_agents_sharing_a_model_get_their_own_config_scores():
         assert got.messages == want.messages
         flags.add(tuple(row.vetoed for row in got.efe_table))
         actions_taken.add(got.action)
-    # one predictive for the shared first observation, one score per
-    # config, one pushed prediction per action taken
-    assert len(shared.memo) == 1 + len(variants) + len(actions_taken)
+    # one predictive, one posterior and one free energy for the shared
+    # first observation, one score per config, one pushed prediction per
+    # action taken
+    assert len(shared.memo) == 3 + len(variants) + len(actions_taken)
     assert actions_taken == {"poke", "wait"}
     assert len(flags) == 3  # the variants score differently
 
@@ -834,16 +836,78 @@ def test_the_memo_never_outgrows_its_bound():
     agent = Agent(model, config, DriftingProvider(), actions)
     state, keys = EpisodeState(), [("predict", model.d.probs.tobytes(), "meter")]
     for t in range(MEMO_SIZE):
+        prior = (state.prediction.prior if state.prediction else model.d).probs.tobytes()
         # horizon-1 plans: every step replans, from a belief never seen before
         state, _, event = agent.step(state, Observation("meter", "m0", t))
         assert event.efe_table
         belief = event.belief.probs.tobytes()
-        keys += [(config, belief), ("push", belief, event.action, "meter")]
-        # the first step also predicts from D; each step adds its scores
-        # and its pushed prediction
-        assert len(model.memo) == min(1 + 2 * (t + 1), MEMO_SIZE)
+        keys += [("vfe", belief, prior, "meter", "m0"), (config, belief),
+                 ("push", belief, event.action, "meter")]
+        # the first step also predicts from D; each step adds its free
+        # energy, its scores and its pushed prediction
+        assert len(model.memo) == min(1 + 3 * (t + 1), MEMO_SIZE)
     # the oldest went first
     assert list(model.memo) == keys[-MEMO_SIZE:]
+
+
+class CountingProvider(WorldModelProvider):
+    """Passes every query on to ``inner`` and counts them."""
+
+    def __init__(self, inner):
+        self.inner, self.calls, self.name = inner, 0, inner.name
+
+    def infer(self, query):
+        self.calls += 1
+        return self.inner.infer(query)
+
+
+def test_other_providers_are_asked_on_every_step_of_a_warm_model(assay):
+    # the golden script on the seed-42 episode, run once to warm the memo
+    script = ScriptedProvider.from_file(str(DATA / "golden_script_seed42.jsonl"))
+    assay_episode(assay, provider=script)
+    warm = list(assay.model.memo)
+    counting = CountingProvider(script)
+    _, result, _ = assay_episode(assay, provider=counting)
+    assert list(assay.model.memo) == warm  # the memo held every key already
+    assert counting.calls == result.steps == result.events[-1].op_counts["providerCalls"] == 3
+
+    model, actions, config = hazard_scenario()
+
+    def steps(provider):
+        agent, state = Agent(model, config, provider, actions), EpisodeState()
+        for t in range(6):
+            state, _, _ = agent.step(state, Observation("meter", "m0", t))
+        return state.events
+
+    steps(DriftingProvider())
+    warm = list(model.memo)
+    counting = CountingProvider(DriftingProvider())
+    events = steps(counting)
+    assert list(model.memo) == warm
+    assert counting.calls == len(events) == events[-1].op_counts["providerCalls"] == 6
+
+
+class FixedProvider(WorldModelProvider):
+    """The same posterior whatever the query."""
+
+    name = "fixed"
+
+    def infer(self, query):
+        return WorldModelResponse(normalize([0.5, 0.5], query.current_belief.labels))
+
+
+def test_the_free_energy_is_scored_against_each_steps_own_prior():
+    model, actions, config = hazard_scenario()
+    agent = Agent(model, config, FixedProvider(), actions)
+    obs = Observation("meter", "m9", 0)
+    column = model.a.likelihood_column("meter", "m9")
+    # one posterior and one outcome, held against two priors, then the first again
+    for probs in ([0.9, 0.1], [0.2, 0.8], [0.9, 0.1]):
+        prior = CategoricalDistribution(model.states, probs)
+        held = agent._predict(prior.probs, "meter")
+        event = agent.step(EpisodeState(prediction=held), obs)[2]
+        assert event.vfe == compute_vfe(event.belief, prior, column)
+    assert sum(key[0] == "vfe" for key in model.memo) == 2
 
 
 def test_a_refined_model_starts_with_an_empty_memo(assay):
@@ -876,7 +940,27 @@ def test_memoized_values_are_read_only_and_what_their_keys_compute(assay):
                 assert not array.flags.writeable
                 with pytest.raises(ValueError):
                     array[0] = 0.5
-    assert kinds == {"predict", "replan", "push"}
+        elif key[0] == "bayes":
+            _, labels, belief, channel, outcome = key
+            want = bayes_update(CategoricalDistribution(labels, np.frombuffer(belief)),
+                                model.a.likelihood_column(channel, outcome))
+            posterior = value.proposed_posterior
+            assert posterior.labels == labels
+            assert posterior.probs.tobytes() == want.probs.tobytes()
+            assert value.rationale == f"exact update on {channel}={outcome}"
+            assert not posterior.probs.flags.writeable
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                value.rationale = ""
+        elif key[0] == "vfe":
+            _, posterior, prior, channel, outcome = key
+            want = compute_vfe(CategoricalDistribution(model.states, np.frombuffer(posterior)),
+                               CategoricalDistribution(model.states, np.frombuffer(prior)),
+                               model.a.likelihood_column(channel, outcome))
+            assert isinstance(value, VfeReport)
+            assert value == want
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                value.total = 0.0
+    assert kinds == {"predict", "replan", "push", "bayes", "vfe"}
 
 
 def test_agents_sharing_a_model_and_an_action_label_get_their_own_prediction(assay):

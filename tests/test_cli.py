@@ -220,6 +220,38 @@ def test_a_channel_the_simulator_cannot_read_fails_validate_and_run(tmp_path, ca
     )
 
 
+@pytest.mark.parametrize("line, address", [
+    # each was read silently: the first dropped, the second kept as a mix param
+    ("mx.seconds = 99", "[actions] mx.seconds: names no declared action; declared: "),
+    ("mix.primitve = mix", "[actions] mix.primitve: primitive 'mix' reads no param 'primitve'; "
+                           "it reads: seconds"),
+])
+def test_an_action_key_nothing_reads_fails_validate_with_its_address(tmp_path, capsys, line, address):
+    text = pathlib.Path(builtin_scenario_path("lab_assay")).read_text(encoding="utf-8")
+    path = tmp_path / "stray_key.ini"
+    path.write_text(text.replace("mix.seconds = 10\n", f"mix.seconds = 10\n{line}\n"),
+                    encoding="utf-8")
+    assert main(["validate", "--scenario", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: stray_key: {address}")
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_indicator_outcomes_the_simulator_never_reads_fail_validate_and_run(tmp_path, capsys, command):
+    # validate said OK, and run exited 2: "unknown outcome 'yellow'", no address
+    text = pathlib.Path(builtin_scenario_path("lab_assay")).read_text(encoding="utf-8")
+    path = tmp_path / "amber.ini"
+    path.write_text(text.replace("indicatorColor = yellow green blue",
+                                 "indicatorColor = amber green blue"), encoding="utf-8")
+    seed = ["--seed", "1"] if command == "run" else []
+    assert main([command, "--scenario", str(path), *seed]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: amber: [channels] indicatorColor: declared amber green blue, "
+                            "but the simulator reads exactly yellow green blue here\n")
+
+
 def test_an_empty_policy_fails_validate_with_its_address(tmp_path, capsys):
     # was exit 2 with "policy 'nothing' has no actions", no scenario, no address
     text = pathlib.Path(builtin_scenario_path("lab_assay")).read_text(encoding="utf-8")
@@ -299,6 +331,20 @@ def test_seed_must_be_a_non_negative_integer(capsys, seed):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"argument --seed: expected a non-negative integer, got '{seed}'" in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("steps", ["-1", "x", "2.5"])
+def test_max_steps_must_be_a_non_negative_integer(capsys, monkeypatch, command, steps):
+    # refused by argparse, before the scenario is loaded
+    monkeypatch.setattr("actinf.cli.resolve_scenario", None)
+    with pytest.raises(SystemExit) as err:
+        main([command, "--scenario", "lab_assay", "--max-steps", steps])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --max-steps: expected a non-negative integer, got '{steps}'" in captured.err
     assert "Traceback" not in captured.err
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from actinf.errors import ScenarioError, ShapeError
-from actinf.lab import EnvSpec, ExecutedAction, LabEnv, indicator_color
+from actinf.lab import PRIMITIVE_PARAMS, READERS, EnvSpec, ExecutedAction, LabEnv, indicator_color
 
 from .channels import standard_channels
 
@@ -22,6 +22,38 @@ def titrate(volume, rate=1.0, reagent="NaOH", mix_seconds=0.0):
             "mix_seconds": mix_seconds,
         },
     )
+
+
+class RecordingParams(dict):
+    """An empty params dict that records the names it is asked for."""
+
+    def __init__(self):
+        super().__init__()
+        self.asked = set()
+
+    def get(self, key, default=None):
+        self.asked.add(key)
+        return super().get(key, default)
+
+
+def test_each_primitive_reads_exactly_its_declared_params():
+    for primitive, declared in PRIMITIVE_PARAMS.items():
+        params = RecordingParams()
+        make_env().apply(ExecutedAction(name=primitive, primitive=primitive, params=params))
+        assert params.asked == set(declared), primitive
+
+
+def test_each_label_reader_returns_exactly_its_declared_labels():
+    labels = {ch: reader.labels for ch, reader in READERS.items() if reader.labels is not None}
+    assert set(labels) == {"indicatorColor", "spillDetector"}
+    colors = {make_env(initial_ph=ph).observe("indicatorColor").outcome
+              for ph in np.linspace(0.0, 14.0, 141)}
+    assert colors == set(labels["indicatorColor"])
+    env = make_env(spill_prob_over_rate=1.0)
+    readings = {env.observe("spillDetector").outcome}
+    env.apply(titrate(2.0, rate=5.0))
+    readings.add(env.observe("spillDetector").outcome)
+    assert readings == set(labels["spillDetector"])
 
 
 def test_indicator_bands():

@@ -148,6 +148,38 @@ def test_tabular_wraps_unknown_outcomes(assay):
         provider.infer(query_for(assay.model, Observation("indicatorColor", "purple", 0)))
 
 
+def test_a_warm_tabular_provider_answers_each_query_as_a_fresh_update(assay):
+    model = assay.model
+    provider = TabularProvider(model)
+    yellow = Observation("indicatorColor", "yellow", 0)
+    queries = [
+        (model.d, yellow),
+        (model.d, Observation("indicatorColor", "green", 0)),  # another outcome
+        (model.d, Observation("phProbe", "6.2", 0)),  # another channel
+        (normalize([0.25] * 4, model.states), yellow),  # another belief
+        # the same numbers under other labels: bayes_update checks shape only
+        (CategoricalDistribution(model.states[::-1], model.d.probs), yellow),
+    ]
+    for _ in range(2):
+        for belief, obs in queries:
+            got = provider.infer(WorldModelQuery((obs,), belief))
+            want = bayes_update(belief, model.a.likelihood_column(obs.channel, obs.outcome))
+            assert got.proposed_posterior.labels == belief.labels
+            assert got.proposed_posterior.probs.tobytes() == want.probs.tobytes()
+            assert got.rationale == f"exact update on {obs.channel}={obs.outcome}"
+    assert sum(key[0] == "bayes" for key in model.memo) == len(queries)
+    # a failed update raises every time and is never stored
+    certain = normalize([1.0, 0.0, 0.0, 0.0], model.states)
+    impossible = Observation("phProbe", "5.5", 0)
+    assert model.a.likelihood_column("phProbe", "5.5")[0] == 0.0
+    for _ in range(2):
+        for belief, obs in ((model.d, Observation("indicatorColor", "purple", 0)),
+                            (certain, impossible)):
+            with pytest.raises(ProviderError):
+                provider.infer(WorldModelQuery((obs,), belief))
+    assert sum(key[0] == "bayes" for key in model.memo) == len(queries)
+
+
 def test_tabular_provider_takes_only_the_model(assay):
     # the learning rate lives in AgentConfig; the provider learns nothing
     with pytest.raises(TypeError):

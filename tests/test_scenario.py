@@ -71,6 +71,11 @@ probe_channel = spillDetector
 """
 
 
+def probed(text):
+    """MINIMAL's channel renamed to a probe, which the simulator reads as a number."""
+    return text.replace("spillDetector", "tempProbe")
+
+
 @pytest.fixture()
 def assay():
     return resolve_scenario("lab_assay")
@@ -151,6 +156,76 @@ def test_every_reader_reads_its_channel_and_minimal_runs():
     result, _ = run_episode(agent, LabEnv(minimal.env, minimal.model.channels, seed=1),
                             max_steps=4)
     assert result.steps >= 1
+
+
+@pytest.mark.parametrize("channel, outcomes, message", [
+    # a label reader: every label it returns, and no other
+    ("spillDetector", "negative positive unknown",
+     "declared negative positive unknown, but the simulator reads exactly negative positive here"),
+    ("spillDetector", "negative",
+     "declared negative, but the simulator reads exactly negative positive here"),
+    # a probe reads a number and snaps it to the nearest outcome
+    ("tempProbe", "negative positive",
+     "the simulator reads a number here and snaps it to the nearest outcome, "
+     "so every outcome must be a number; got 'negative'"),
+])
+def test_a_read_channel_whose_outcomes_its_reader_cannot_give_is_addressed(
+        channel, outcomes, message):
+    text = MINIMAL.replace("spillDetector", channel)
+    broken = text.replace(f"{channel} = negative positive", f"{channel} = {outcomes}")
+    broken = (broken.replace("0.9 0.1", "uniform").replace("0.2 0.8", "uniform")
+              .replace("calm.avoid = positive", "calm.avoid ="))
+    with pytest.raises(ScenarioError) as info:
+        load_scenario(broken)
+    assert str(info.value) == f"inline: [channels] {channel}: {message}"
+
+
+def test_only_read_channels_must_match_their_reader():
+    # listed in another order, the reader's labels pass
+    swapped = MINIMAL.replace("spillDetector = negative positive", "spillDetector = positive negative")
+    assert load_scenario(swapped).model.channels["spillDetector"] == ("positive", "negative")
+    # a channel no action observes and the episode does not start on is not read
+    unread = (
+        MINIMAL.replace("[channels]\n", "[channels]\ntempProbe = cold hot\n")
+        .replace("[A]\n", "[A]\ntempProbe.ok = uniform\ntempProbe.bad = uniform\n")
+    )
+    assert load_scenario(unread).model.channels["tempProbe"] == ("cold", "hot")
+    with pytest.raises(ScenarioError, match=r"^inline: \[channels\] tempProbe: "):
+        load_scenario(unread.replace("look.observes = spillDetector", "look.observes = tempProbe"))
+    with pytest.raises(ScenarioError, match=r"^inline: \[channels\] tempProbe: "):
+        load_scenario(unread.replace("start_channel = spillDetector", "start_channel = tempProbe"))
+
+
+@pytest.mark.parametrize("line, message", [
+    ("mx.seconds = 99", "names no declared action; declared: look ask_for_help"),
+    ("look = measure", "names no declared action; declared: look ask_for_help"),
+    ("look.primitve = measure", "primitive 'measure' reads no param 'primitve'; it reads: none"),
+    ("look.seconds = 10", "primitive 'measure' reads no param 'seconds'; it reads: none"),
+])
+def test_an_action_key_nothing_reads_is_addressed(line, message):
+    with pytest.raises(ScenarioError) as info:
+        load_scenario(with_line("actions", line))
+    key = line.split(" = ")[0]
+    assert str(info.value) == f"inline: [actions] {key}: {message}"
+
+
+def test_action_params_are_what_their_primitive_reads(assay):
+    assert assay.actions["mix"].params == {"seconds": 10}
+    assert assay.actions["titrate_NaOH_fast"].params == {
+        "reagent": "NaOH", "volume_ul": 10, "rate_ul_per_s": 5.0, "mix_seconds": 0,
+    }
+    assert assay.actions["measure_pH"].params == {}
+    # a label may hold a '.': its keys split after the whole label
+    dotted = (
+        MINIMAL.replace("labels = look ask_for_help", "labels = look look.slow ask_for_help")
+        .replace("look.observes = spillDetector\n",
+                 "look.observes = spillDetector\nlook.slow.primitive = mix\n"
+                 "look.slow.observes = spillDetector\nlook.slow.seconds = 30\n")
+        .replace("look = identity\n", "look = identity\nlook.slow = identity\n")
+    )
+    scenario = load_scenario(dotted)
+    assert scenario.actions["look.slow"].params == {"seconds": 30}
+    assert scenario.actions["look"].params == {}
 
 
 @pytest.mark.parametrize("raw", ["", "   "])
@@ -313,7 +388,7 @@ def test_bad_gauss_spec_is_addressed():
     with pytest.raises(ScenarioError, match=r"\[A\] spillDetector.ok: bad gauss spec"):
         load_scenario(broken)
     okay = numeric.replace("spillDetector.ok = 0.9 0.1", "spillDetector.ok = gauss 1.0 0.3")
-    assert load_scenario(okay).model.a.matrices["spillDetector"][0].sum() == pytest.approx(1.0)
+    assert load_scenario(probed(okay)).model.a.matrices["tempProbe"][0].sum() == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("sigma", ["0", "-0.3", "nan"])
@@ -365,7 +440,7 @@ def test_a_span_at_the_outcome_limit_loads():
         .replace("calm.prefer = negative", "calm.prefer = le 10")
         .replace("calm.avoid = positive", "calm.avoid = 1")
     )
-    assert len(load_scenario(at_limit).model.channels["spillDetector"]) == MAX_SPAN_OUTCOMES
+    assert len(load_scenario(probed(at_limit)).model.channels["tempProbe"]) == MAX_SPAN_OUTCOMES
 
 
 def test_span_shorthand_builds_numeric_grids(assay):
@@ -543,8 +618,8 @@ def test_span_decimals_follow_both_start_and_step():
         .replace("calm.prefer = negative", "calm.prefer = le 0.5")
         .replace("calm.avoid = positive", "calm.avoid = 1.00")
     )
-    scenario = load_scenario(numeric)
-    assert scenario.model.channels["spillDetector"] == ("0.00", "0.25", "0.50", "0.75", "1.00")
+    scenario = load_scenario(probed(numeric))
+    assert scenario.model.channels["tempProbe"] == ("0.00", "0.25", "0.50", "0.75", "1.00")
     assert scenario.model.c.entries[0].prefer == ("0.00", "0.25", "0.50")
     # a whole step and a fractional start
     halves = (
@@ -552,7 +627,7 @@ def test_span_decimals_follow_both_start_and_step():
         .replace("calm.prefer = negative", "calm.prefer = 0.5")
         .replace("calm.avoid = positive", "calm.avoid = 1.5")
     )
-    assert load_scenario(halves).model.channels["spillDetector"] == ("0.5", "1.5")
+    assert load_scenario(probed(halves)).model.channels["tempProbe"] == ("0.5", "1.5")
 
 
 @pytest.mark.parametrize("section, line", [
@@ -677,7 +752,8 @@ def test_uneven_grid_is_no_gauss_grid():
         load_scenario(uneven)
     # an even grid written with a step that floats cannot hold exactly still passes
     even = uneven.replace("0 100 200.001", "0 0.1 0.2").replace("gauss 0 5", "gauss 0.1 0.05")
-    assert load_scenario(even.replace("= 200.001", "= 0.2")).model.channels["spillDetector"][2] == "0.2"
+    even = probed(even.replace("= 200.001", "= 0.2"))
+    assert load_scenario(even).model.channels["tempProbe"][2] == "0.2"
 
 
 @pytest.mark.parametrize("outcomes, low, high", [("0 inf", "0", "inf"), ("-inf 0", "-inf", "0"),
@@ -706,7 +782,7 @@ def test_grid_spacing_tolerance_is_one_billionth():
         )
 
     # steps 1 and 1.0000000009 differ by less than 1e-9: still a grid
-    row = load_scenario(with_top("2.0000000009")).model.a.matrices["spillDetector"][0]
+    row = load_scenario(probed(with_top("2.0000000009"))).model.a.matrices["tempProbe"][0]
     assert row.tobytes() == discretized_gaussian(np.array([0.0, 1.0, 2.0000000009]), 1.0, 0.5).tobytes()
     with pytest.raises(ScenarioError, match=r"\[A\] spillDetector.ok: gauss needs a number grid: "
                                             r"channel 'spillDetector': outcome grid must be evenly spaced"):
