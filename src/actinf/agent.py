@@ -1,6 +1,6 @@
 """Hierarchical three-level controller and the episode loop.
 
-An episode is a fold: ``run_episode`` threads a frozen ``EpisodeState``
+An episode is a fold: ``run_episode`` threads an immutable ``EpisodeState``
 through ``Agent.step(state, obs)``, which returns the next state, the
 action and the step's ``TraceEvent`` and changes neither the agent nor
 the state it was given. The past is read off the state's events: the
@@ -122,8 +122,7 @@ class Prediction(NamedTuple):
     entropy: float  # the predictive's, the next step's expected surprise
 
 
-@dataclass(frozen=True)
-class EpisodeState:
+class EpisodeState(NamedTuple):
     """An episode so far: its events, the held prediction and the live plan."""
 
     events: tuple[TraceEvent, ...] = ()
@@ -137,8 +136,7 @@ class EpisodeState:
         return tuple(e.observation for e in self.events)
 
 
-@dataclass(frozen=True)
-class RefinementSummary:
+class RefinementSummary(NamedTuple):
     """One parameter recalibrated after an episode."""
 
     level: str
@@ -148,8 +146,7 @@ class RefinementSummary:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class EpisodeResult:
+class EpisodeResult(NamedTuple):
     outcome: str
     steps: int
     final_state: LabState

@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 scenario validation failure, 2 runtime error
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 
@@ -142,6 +141,8 @@ def _cmd_sweep(args) -> int:
         "perSeed": per_seed,
     }
     if args.summary:
+        import json
+
         with open(args.summary, "w", encoding="utf-8") as fh:
             json.dump(summary, fh, indent=2)
             fh.write("\n")

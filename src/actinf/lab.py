@@ -8,6 +8,10 @@ fixed (spec, seed, action sequence) replays byte-for-byte.
 Sensor conventions: quoted "+/-" tolerances are treated as 2-sigma
 Gaussian bands, and continuous readings snap to the nearest declared
 outcome label of their channel.
+
+Each primitive reads named params, each with a parse and a range rule
+(``PRIMITIVE_PARAMS``) that ``load_scenario`` applies to a scenario's
+actions; the simulator's state and readings are NamedTuple records.
 """
 
 from __future__ import annotations
@@ -24,21 +28,51 @@ from .errors import ScenarioError, ShapeError, check_ranges
 INDICATOR_YELLOW_BELOW = 7.0
 INDICATOR_BLUE_ABOVE = 8.0
 
-# each primitive and the params it reads from its action, by name
+# the pH change per microliter of each reagent, as a multiple of
+# EnvSpec.naoh_effect_per_ul
+REAGENT_SIGN = {"NaOH": 1.0, "HCl": -1.0}
+
+# the most reagent one titration may add; the simulator draws one dose
+# per microliter, so this also bounds the work of one step
+MAX_TITRATION_UL = 10_000
+
+
+def _number(text: str) -> int | float:
+    """A param's number as the file writes it: an int when it reads as one."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
+def _volume(text: str) -> int | float | str:
+    return text if text == "auto" else _number(text)
+
+
+_DURATION = (_number, lambda v: 0 <= v < math.inf, ">= 0 and finite")
+
+# each primitive and the params it reads from its action, by name, each
+# with (parse, test, rule): how its text is read, and the test its value
+# must pass, written so that NaN fails it, with the rule that test states
 PRIMITIVE_PARAMS = {
-    "measure": (),
-    "titrate": ("volume_ul", "rate_ul_per_s", "reagent", "mix_seconds"),
-    "mix": ("seconds",),
-    "heat": ("minutes",),
-    "wait": ("minutes",),
-    "ask_human": (),
-    "discard": (),
+    "measure": {},
+    "titrate": {
+        "volume_ul": (_volume, lambda v: v == "auto" or 0 <= v <= MAX_TITRATION_UL,
+                      f"in [0, {MAX_TITRATION_UL}] or auto"),
+        "rate_ul_per_s": (_number, lambda v: 0 < v < math.inf, "positive and finite"),
+        "reagent": (str, REAGENT_SIGN.__contains__, f"one of {' '.join(REAGENT_SIGN)}"),
+        "mix_seconds": _DURATION,
+    },
+    "mix": {"seconds": _DURATION},
+    "heat": {"minutes": _DURATION},
+    "wait": {"minutes": _DURATION},
+    "ask_human": {},
+    "discard": {},
 }
 PRIMITIVES = tuple(PRIMITIVE_PARAMS)
 
 
-@dataclass(frozen=True)
-class LabState:
+class LabState(NamedTuple):
     """Snapshot of the true bench state."""
 
     ph: float
@@ -50,8 +84,7 @@ class LabState:
     reagent_used_ul: float
 
 
-@dataclass(frozen=True)
-class Observation:
+class Observation(NamedTuple):
     """One sensor reading: a channel and a discrete outcome label."""
 
     channel: str
@@ -249,19 +282,22 @@ class LabEnv:
         self._set(elapsed_min=self.state.elapsed_min + minutes)
 
     def _set(self, **changes) -> None:
-        self.state = LabState(**{**vars(self.state), **changes})
+        self.state = self.state._replace(**changes)
 
     def _do_measure(self, params: dict) -> None:
         self._advance(self.spec.measure_minutes)
 
     def _do_titrate(self, params: dict) -> None:
+        # a scenario's params, and the largest "auto" dose its agent can
+        # plan, are checked at load; these checks are for actions and
+        # agent configs built in code, which no load sees
         volume = float(params.get("volume_ul", 0.0))
         rate = float(params.get("rate_ul_per_s", 1.0))
         reagent = str(params.get("reagent", "NaOH"))
         mix_seconds = float(params.get("mix_seconds", 0.0))
-        if volume < 0 or rate <= 0:
+        if not (0 <= volume <= MAX_TITRATION_UL and 0 < rate < math.inf):
             raise ShapeError(f"bad titration parameters: volume={volume}, rate={rate}")
-        sign = {"NaOH": 1.0, "HCl": -1.0}.get(reagent)
+        sign = REAGENT_SIGN.get(reagent)
         if sign is None:
             raise ShapeError(f"unknown reagent {reagent!r}")
 

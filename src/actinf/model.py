@@ -12,6 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,6 +22,13 @@ from .errors import ShapeError
 # Base mass shared by every outcome a preference entry marks as violating,
 # applied before per-channel normalization.
 VIOLATION_MASS = 0.01
+
+# The most confidence weight the preference entries of one channel may
+# carry between them. A preferred outcome's mass is the exp of its
+# entries' weights: exp(100) is about 2.7e43, far below a float's
+# overflow at exp(709.8) and far past where a weight still tells
+# outcomes apart once log-preferences are floored at log(EPS).
+MAX_WEIGHT = 100.0
 
 # The most values one model's memo keeps; past that the oldest is dropped.
 MEMO_SIZE = 256
@@ -97,12 +105,14 @@ class TransitionModel:
         return state_probs @ self.matrix(action)
 
 
-@dataclass(frozen=True)
-class PreferenceEntry:
+class PreferenceEntry(NamedTuple):
     """One compiled preference: (channel, confidence weight, outcome sets).
 
     ``prefer`` outcomes each carry exp(weight) mass, ``avoid`` outcomes
-    share VIOLATION_MASS, anything unmentioned keeps neutral mass 1.
+    share VIOLATION_MASS, anything unmentioned keeps neutral mass 1. A
+    scenario's weights are in [0, MAX_WEIGHT], and sum to at most
+    MAX_WEIGHT on each channel: a negative weight would make ``prefer``
+    a weaker ``avoid``, which ``avoid`` already says.
     """
 
     name: str
@@ -112,8 +122,7 @@ class PreferenceEntry:
     avoid: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class PreferenceModel:
+class PreferenceModel(NamedTuple):
     """Log-preferences over observations, one prior vector per channel."""
 
     entries: tuple[PreferenceEntry, ...]
@@ -165,8 +174,7 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class StackedOutcomes:
+class StackedOutcomes(NamedTuple):
     """Every channel's outcome columns side by side, in channel order.
 
     The batched planner scores all channels at once through these; a
@@ -249,8 +257,7 @@ class GenerativeModel:
         raise ShapeError(f"unknown policy {label!r}")
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """Violations as (dotted path, message) pairs; empty means valid."""
 
     violations: tuple[tuple[str, str], ...]

@@ -14,6 +14,7 @@ expected log-preference of predicted outcomes. Lower total wins.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,8 +26,7 @@ from .model import GenerativeModel, Policy
 TIE_ATOL = 1e-9
 
 
-@dataclass(frozen=True)
-class Rollout:
+class Rollout(NamedTuple):
     """Predicted state and outcome probabilities of a candidate set.
 
     ``states`` has one row per action of each policy in turn, shape

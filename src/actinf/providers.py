@@ -13,15 +13,18 @@ Three implementations ship:
   wire format below and validates whatever comes back.
 
 A response that fails distribution validation is rejected outright;
-repairing (renormalizing) it would hide exactly the provider faults
-the executive level is supposed to catch.
+repairing (renormalizing) it, or converting a label or a probability
+that is not a JSON string or number, would hide exactly the provider
+faults the executive level is supposed to catch. ``json`` and the HTTP
+stack are imported by the functions that use them, not by importing
+this module.
 """
 
 from __future__ import annotations
 
 import abc
-import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .dists import CategoricalDistribution
 from .errors import (
@@ -49,8 +52,7 @@ class WorldModelQuery:
             raise ShapeError(f"history timestamps must strictly increase, got {stamps}")
 
 
-@dataclass(frozen=True)
-class WorldModelResponse:
+class WorldModelResponse(NamedTuple):
     proposed_posterior: CategoricalDistribution
     rationale: str = ""
 
@@ -92,17 +94,23 @@ def parse_response(doc) -> WorldModelResponse:
     """Build a validated response from wire-format JSON.
 
     Malformed structure or an invalid posterior raises ProviderError
-    carrying the raw payload; probabilities are never repaired. Keys
-    other than ``posterior`` and ``rationale`` are ignored.
+    carrying the raw payload; nothing is repaired. Labels must be JSON
+    strings and probabilities JSON numbers: a string such as "0.7", a
+    boolean or a numeric label is refused, not converted. Keys other
+    than ``posterior`` and ``rationale`` are ignored.
     """
     if not isinstance(doc, dict) or "posterior" not in doc:
         raise ProviderError("response has no posterior", payload=doc)
     posterior = doc["posterior"]
     try:
-        labels = tuple(posterior["labels"])
-        probs = [float(p) for p in posterior["probs"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        labels, probs = posterior["labels"], posterior["probs"]
+    except (KeyError, TypeError) as exc:
         raise ProviderError(f"unreadable posterior: {exc}", payload=doc) from exc
+    if not (isinstance(labels, list) and all(type(x) is str for x in labels)):
+        raise ProviderError("unreadable posterior: labels must be a list of strings", payload=doc)
+    # bool is an int subclass, so the types are compared exactly
+    if not (isinstance(probs, list) and all(type(p) in (int, float) for p in probs)):
+        raise ProviderError("unreadable posterior: probs must be a list of numbers", payload=doc)
     try:
         dist = CategoricalDistribution(labels, probs)
     except (DegenerateDistributionError, ShapeError) as exc:
@@ -165,7 +173,8 @@ class ScriptedProvider(WorldModelProvider):
 
     Response k answers the query whose history holds k + 1 observations,
     that is step k of an episode; nothing else of the query is read, and
-    nothing is kept between queries.
+    nothing is kept between queries. A response may be a ProviderError,
+    which its step raises afresh each time it is asked.
     """
 
     name = "scripted"
@@ -175,11 +184,21 @@ class ScriptedProvider(WorldModelProvider):
 
     @classmethod
     def from_file(cls, path: str) -> "ScriptedProvider":
+        """Read a JSONL script. A line that is no valid response becomes
+        the provider error of the step it answers, as a remote's reply would."""
+        import json
+
         responses = []
         with open(path, "r", encoding="utf-8") as fh:
             for line in fh:
-                if line.strip():
+                if not line.strip():
+                    continue
+                try:
                     responses.append(parse_response(json.loads(line)))
+                except ValueError:  # from json.loads; parse_response raises ProviderError
+                    responses.append(ProviderError("scripted response is not JSON", payload=line))
+                except ProviderError as exc:
+                    responses.append(exc)
         return cls(responses)
 
     def infer(self, query: WorldModelQuery) -> WorldModelResponse:
@@ -190,11 +209,16 @@ class ScriptedProvider(WorldModelProvider):
             raise ReplayExhaustedError(
                 f"script exhausted after {len(self.responses)} responses"
             )
-        return self.responses[k]
+        response = self.responses[k]
+        if isinstance(response, ProviderError):
+            raise ProviderError(str(response), payload=response.payload)
+        return response
 
 
 def save_script(responses, path: str) -> None:
     """Write responses as wire-format JSONL, loadable by from_file."""
+    import json
+
     with open(path, "w", encoding="utf-8") as fh:
         for response in responses:
             fh.write(json.dumps(response_wire_format(response)) + "\n")
@@ -298,6 +322,8 @@ class RemoteProvider(WorldModelProvider):
         self._conn.close()
 
     def infer(self, query: WorldModelQuery) -> WorldModelResponse:
+        import json
+
         body = json.dumps(query_wire_format(query)).encode("utf-8")
         conn = self._conn
         try:

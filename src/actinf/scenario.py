@@ -20,7 +20,10 @@ that an action observes, or that the environment starts on, must be one
 the simulator reads (``lab.READERS``), with the outcomes its reader
 gives: that reader's labels, or numbers for a probe. Each [actions] key
 other than ``labels`` is ``<action>.primitive``, ``<action>.observes``
-or a param that the action's primitive reads (``lab.PRIMITIVE_PARAMS``).
+or a param that the action's primitive reads (``lab.PRIMITIVE_PARAMS``),
+read and range-checked by its rule there; the largest ``auto`` dose
+the agent could plan is bounded like a declared one. A [C] weight is in
+[0, MAX_WEIGHT], and one channel's weights sum to at most MAX_WEIGHT.
 A policy lists at least one action; an action may repeat. A bundled
 scenario is named plainly: a name with '/' or '\\' in it, or starting
 with '.', names none.
@@ -44,15 +47,17 @@ from __future__ import annotations
 import io
 import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import fields
+from typing import NamedTuple
 
 import numpy as np
 
 from .agent import AgentConfig
 from .dists import CategoricalDistribution
 from .errors import DegenerateDistributionError, ModelValidationError, ScenarioError
-from .lab import PRIMITIVE_PARAMS, PRIMITIVES, READERS, ActionSpec, EnvSpec
+from .lab import MAX_TITRATION_UL, PRIMITIVE_PARAMS, PRIMITIVES, READERS, ActionSpec, EnvSpec
 from .model import (
+    MAX_WEIGHT,
     GenerativeModel,
     ObservationModel,
     Policy,
@@ -78,8 +83,7 @@ MAX_SPAN_OUTCOMES = 10_000
 SPEC_TYPES = {"int": int, "float": float, "str": str}
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     name: str
     model: GenerativeModel
     env: EnvSpec
@@ -293,17 +297,6 @@ def _parse_predicate(doc: _Doc, key: str, raw: str, channel: str,
     return tuple(parts)
 
 
-def _coerce(value: str):
-    for cast in (int, float):
-        try:
-            return cast(value)
-        except ValueError:
-            pass
-    if value.lower() in ("true", "false"):
-        return value.lower() == "true"
-    return value
-
-
 def load_scenario(path_or_text, name: str = "") -> Scenario:
     """Parse and validate one scenario document.
 
@@ -393,6 +386,7 @@ def load_scenario(path_or_text, name: str = "") -> Scenario:
         if base not in entry_names:
             entry_names.append(base)
     entries = []
+    channel_weights: dict[str, float] = {}
     for entry in entry_names:
         channel = c_raw.get(f"{entry}.channel")
         if channel not in channels:
@@ -401,8 +395,12 @@ def load_scenario(path_or_text, name: str = "") -> Scenario:
             weight = float(c_raw.get(f"{entry}.weight", ""))
         except ValueError:
             weight = math.nan
-        if not math.isfinite(weight):
-            doc.fail("C", f"{entry}.weight", "expected a finite number")
+        if not 0 <= weight <= MAX_WEIGHT:
+            doc.fail("C", f"{entry}.weight", f"expected a finite number in [0, {MAX_WEIGHT:g}]")
+        total = channel_weights[channel] = channel_weights.get(channel, 0.0) + weight
+        if total > MAX_WEIGHT:
+            doc.fail("C", f"{entry}.weight", f"the weights on channel {channel!r} sum to "
+                                             f"{total:g}, more than {MAX_WEIGHT:g}")
         entries.append(PreferenceEntry(
             name=entry,
             channel=channel,
@@ -460,7 +458,31 @@ def load_scenario(path_or_text, name: str = "") -> Scenario:
             _check_outcomes(doc, channel, outcomes)
     if agent.probe_channel not in channels:
         doc.fail("agent", "probe_channel", f"unknown channel {agent.probe_channel!r}")
+    _check_dose(doc, agent, actions, channels, read)
     return Scenario(name=name, model=model, env=env, actions=actions, agent=agent)
+
+
+def _check_dose(doc: _Doc, agent: AgentConfig, actions: dict[str, ActionSpec],
+                channels: dict[str, tuple[str, ...]], read: set[str]) -> None:
+    """Fail at ``[agent] effect_per_ul`` if an ``auto`` titration could dose
+    more than MAX_TITRATION_UL.
+
+    ``Agent.planned_volume_ul`` doses from the latest reading of its
+    probe channel, so its largest dose is the one planned from that
+    channel's lowest outcome; it is computed here as there.
+    """
+    probe = agent.probe_channel
+    if (probe not in read or READERS[probe].labels is not None
+            or all(spec.params.get("volume_ul") != "auto" for spec in actions.values())):
+        return  # no auto dose, or no number it could be planned from
+    lowest = float(channels[probe][0])  # a read probe's outcomes are increasing numbers
+    step = agent.pipette_step_ul
+    steps = (agent.target_ph - lowest) / agent.effect_per_ul / step
+    # the first test keeps an infinite count away from round()
+    if steps > MAX_TITRATION_UL / step + 1 or round(steps) * step > MAX_TITRATION_UL:
+        doc.fail("agent", "effect_per_ul",
+                 f"an auto titration would dose {steps * step:.6g} ul from a {probe} reading "
+                 f"of {lowest:g}, more than the {MAX_TITRATION_UL} ul one titration may add")
 
 
 def _read_action_key(doc: _Doc, key: str, raw: str, primitives: dict[str, str],
@@ -470,7 +492,8 @@ def _read_action_key(doc: _Doc, key: str, raw: str, primitives: dict[str, str],
     A label may hold a '.', so every '.' that ends a declared label is
     tried. The key fails at its address unless at least one split names
     ``primitive``, ``observes`` or a param that the action's primitive
-    reads; each such param is kept.
+    reads; each such param is parsed and range-checked by its rule in
+    ``PRIMITIVE_PARAMS`` and kept.
     """
     splits = []
     dot = key.find(".")
@@ -484,7 +507,14 @@ def _read_action_key(doc: _Doc, key: str, raw: str, primitives: dict[str, str],
     for label, name in splits:
         reads = PRIMITIVE_PARAMS[primitives[label]]
         if name in reads:
-            params[label][name] = _coerce(raw)
+            parse, valid, rule = reads[name]
+            try:
+                value = parse(raw)
+            except ValueError:
+                value = math.nan
+            if not valid(value):
+                doc.fail("actions", key, f"{name} must be {rule}, got {raw!r}")
+            params[label][name] = value
         read = read or name in reads or name in ("primitive", "observes")
     if not read:
         label, name = splits[-1]

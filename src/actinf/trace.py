@@ -6,13 +6,14 @@ folds the same events into a per-stage free energy table with the
 episode's cumulative operation counts, which render_ledger writes out.
 
 Serialization relies on dict insertion order and repr-float rendering,
-so equal inputs always produce byte-identical files.
+so equal inputs always produce byte-identical files. ``json`` is
+imported by emit_trace and read_trace, not by importing this module.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .dists import CategoricalDistribution
 from .errors import ShapeError
@@ -60,16 +61,14 @@ class TraceEvent:
             )
 
 
-@dataclass(frozen=True)
-class LedgerRow:
+class LedgerRow(NamedTuple):
     stage: str
     vfe: float
     explanation: str
     step: int | None = None
 
 
-@dataclass(frozen=True)
-class FreeEnergyLedger:
+class FreeEnergyLedger(NamedTuple):
     """Chronological free-energy accounting plus operation totals."""
 
     rows: tuple[LedgerRow, ...]
@@ -135,6 +134,8 @@ def emit_trace(
     path: str | None = None,
 ) -> str:
     """Render events as JSONL: a header line, then one line per step."""
+    import json
+
     header = {"schema": SCHEMA, "scenario": scenario, "seed": seed, "provider": provider}
     lines = [json.dumps(header)]
     lines.extend(json.dumps(event_json(e)) for e in events)
@@ -147,6 +148,8 @@ def emit_trace(
 
 def read_trace(path: str) -> tuple[dict, list[dict]]:
     """Load a JSONL trace back into (header, event dicts)."""
+    import json
+
     with open(path, "r", encoding="utf-8") as fh:
         lines = [json.loads(line) for line in fh if line.strip()]
     if not lines or lines[0].get("schema") != SCHEMA:

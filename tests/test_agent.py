@@ -225,7 +225,7 @@ def test_second_episode_reuses_learned_parameters(assay):
     # learning is carried by building the next agent and provider from
     # the refined model, so the two score with one A
     _, model, config = agent.propagate_refinement(first.events)
-    carried = dataclasses.replace(assay, model=model, agent=config)
+    carried = assay._replace(model=model, agent=config)
     agent, second, _ = assay_episode(carried, seed=7)
     assert second.outcome == "assay_complete"
     # recalibrated indicator: yellow is now stronger acid evidence
@@ -245,7 +245,7 @@ def test_agent_holds_only_what_it_was_built_with(assay):
     first, result, _ = assay_episode(assay)
     _, model, config = first.propagate_refinement(result.events)
     config = dataclasses.replace(config, effect_per_ul=0.25)
-    carried = dataclasses.replace(assay, model=model, agent=config)
+    carried = assay._replace(model=model, agent=config)
     assert set(vars(make_agent(carried))) == AGENT_ATTRIBUTES
 
     agent, _, _ = assay_episode(carried)
@@ -949,7 +949,7 @@ def test_memoized_values_are_read_only_and_what_their_keys_compute(assay):
             assert posterior.probs.tobytes() == want.probs.tobytes()
             assert value.rationale == f"exact update on {channel}={outcome}"
             assert not posterior.probs.flags.writeable
-            with pytest.raises(dataclasses.FrozenInstanceError):
+            with pytest.raises(AttributeError):
                 value.rationale = ""
         elif key[0] == "vfe":
             _, posterior, prior, channel, outcome = key

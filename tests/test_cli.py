@@ -1,8 +1,11 @@
 """Command-line behavior: exit codes, output files, provider wiring."""
 
 import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -164,6 +167,11 @@ def test_out_of_range_environment_value_fails_validate_and_run(tmp_path, capsys,
     ("effect_per_ul", "0", "effect_per_ul must be positive"),  # was a ZeroDivisionError
     ("effect_per_ul", "nan", "effect_per_ul must be positive"),  # was a ValueError
     ("effect_per_ul", "-0.2", "effect_per_ul must be positive"),  # was an exit 2 from LabEnv
+    # an auto dose past the titration bound; the second was an OverflowError from round()
+    ("effect_per_ul", "0.00001", "an auto titration would dose 190000 ul from a phProbe "
+                                 "reading of 5.5, more than the 10000 ul one titration may add"),
+    ("effect_per_ul", "1e-320", "an auto titration would dose inf ul from a phProbe "
+                                "reading of 5.5, more than the 10000 ul one titration may add"),
     ("target_ph", "nan", "target_ph must be in [0, 14]"),
     ("veto_outcome_mass", "nan", "veto_outcome_mass must be in [0, 1]"),  # was no veto
     ("veto_outcome_mass", "-1", "veto_outcome_mass must be in [0, 1]"),
@@ -250,6 +258,54 @@ def test_indicator_outcomes_the_simulator_never_reads_fail_validate_and_run(tmp_
     assert captured.out == ""
     assert captured.err == ("error: amber: [channels] indicatorColor: declared amber green blue, "
                             "but the simulator reads exactly yellow green blue here\n")
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("line, broken, rule", [
+    # each validated OK; run then exited 2 unaddressed, raised a
+    # ValueError, ran with the spill rule off, or never finished
+    ("titrate_NaOH_careful.volume_ul = auto", "titrate_NaOH_careful.volume_ul = -5",
+     "volume_ul must be in [0, 10000] or auto, got '-5'"),
+    ("titrate_NaOH_careful.reagent = NaOH", "titrate_NaOH_careful.reagent = KOH",
+     "reagent must be one of NaOH HCl, got 'KOH'"),
+    ("titrate_NaOH_careful.volume_ul = auto", "titrate_NaOH_careful.volume_ul = mix",
+     "volume_ul must be in [0, 10000] or auto, got 'mix'"),
+    ("titrate_NaOH_careful.rate_ul_per_s = 1.0", "titrate_NaOH_careful.rate_ul_per_s = nan",
+     "rate_ul_per_s must be positive and finite, got 'nan'"),
+    ("titrate_NaOH_careful.volume_ul = auto", "titrate_NaOH_careful.volume_ul = 1e9",
+     "volume_ul must be in [0, 10000] or auto, got '1e9'"),
+])
+def test_a_bad_action_param_fails_validate_and_run_with_its_address(tmp_path, capsys, command,
+                                                                    line, broken, rule):
+    text = pathlib.Path(builtin_scenario_path("lab_assay")).read_text(encoding="utf-8")
+    assert text.count(line) == 1
+    path = tmp_path / "bad_param.ini"
+    path.write_text(text.replace(line, broken), encoding="utf-8")
+    seed = ["--seed", "42"] if command == "run" else []
+    assert main([command, "--scenario", str(path), *seed]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    key = broken.split(" = ")[0]
+    assert captured.err == f"error: bad_param: [actions] {key}: {rule}\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("weight", ["1e9", "710", "-1"])
+def test_a_preference_weight_out_of_range_fails_validate_and_run(tmp_path, capsys, command,
+                                                                 weight):
+    # 1e9 and 710 ended both in an OverflowError traceback from math.exp
+    text = pathlib.Path(builtin_scenario_path("lab_assay")).read_text(encoding="utf-8")
+    line = "containment_safety.weight = 0.95"
+    assert text.count(line) == 1
+    path = tmp_path / "heavy.ini"
+    path.write_text(text.replace(line, f"containment_safety.weight = {weight}"),
+                    encoding="utf-8")
+    seed = ["--seed", "42"] if command == "run" else []
+    assert main([command, "--scenario", str(path), *seed]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: heavy: [C] containment_safety.weight: "
+                            "expected a finite number in [0, 100]\n")
 
 
 def test_an_empty_policy_fails_validate_with_its_address(tmp_path, capsys):
@@ -346,6 +402,28 @@ def test_max_steps_must_be_a_non_negative_integer(capsys, monkeypatch, command, 
     assert captured.out == ""
     assert f"argument --max-steps: expected a non-negative integer, got '{steps}'" in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_json_is_loaded_only_to_write_a_file(tmp_path):
+    summary = tmp_path / "summary.json"
+    code = (
+        "import sys\n"
+        "from actinf.cli import main\n"
+        "main(['validate', '--scenario', 'lab_assay'])\n"
+        "main(['run', '--scenario', 'lab_assay', '--seed', '42'])\n"
+        "main(['sweep', '--scenario', 'lab_assay', '--seeds', '1..2'])\n"
+        "print('json loaded:', 'json' in sys.modules)\n"
+        f"main(['sweep', '--scenario', 'lab_assay', '--seeds', '1..2', '--summary', {str(summary)!r}])\n"
+        "print('json loaded:', 'json' in sys.modules)\n"
+    )
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    loaded = [line for line in done.stdout.splitlines() if line.startswith("json loaded:")]
+    assert loaded == ["json loaded: False", "json loaded: True"]
+    assert json.loads(summary.read_text(encoding="utf-8"))["episodes"] == 2
 
 
 def test_sweep_summary(tmp_path, capsys):

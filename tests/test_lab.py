@@ -253,3 +253,11 @@ def test_unknown_channel_and_reagent_rejected():
         env.observe("massSpec")
     with pytest.raises(ShapeError):
         env.apply(titrate(1.0, reagent="KOH"))
+
+
+@pytest.mark.parametrize("volume, rate", [(-1.0, 1.0), (1e9, 1.0), (1.0, 0.0), (1.0, float("nan"))])
+def test_a_hand_built_titration_out_of_range_is_refused(volume, rate):
+    # a scenario's params are checked at load; an action built in code,
+    # or an agent's computed dose, is checked here, before any dosing
+    with pytest.raises(ShapeError, match="bad titration parameters"):
+        make_env(seed=0).apply(titrate(volume, rate=rate))

@@ -238,8 +238,8 @@ def test_stacked_arrays_are_read_only_and_belong_to_their_model():
     belief = uniform(model.states)
     policies = (Policy("p", ("stay",)),)
     (before,) = expected_free_energy(model, rollout(model, belief, policies))
-    for f in dataclasses.fields(StackedOutcomes):
-        assert getattr(model.stacked, f.name).flags.writeable is False, f.name
+    for name in StackedOutcomes._fields:
+        assert getattr(model.stacked, name).flags.writeable is False, name
 
     # a refined copy, as Agent.propagate_refinement returns, scores with its own A
     sharp = np.eye(2)

@@ -112,6 +112,60 @@ def test_parse_response_rejects_garbled_probs():
         parse_response(doc)
 
 
+LABELS = ["ph_ok", "ph_acidic", "spill", "restarted"]
+
+# each was converted, not refused: float("0.7"), float(True), str(1)
+NOT_JSON_NUMBERS = [
+    ({"labels": LABELS, "probs": ["0.7", "0.3", "0", "0"]}, "probs must be a list of numbers"),
+    ({"labels": LABELS, "probs": [True, False, False, False]}, "probs must be a list of numbers"),
+    ({"labels": [1, 2, 3, 4], "probs": [0.7, 0.3, 0.0, 0.0]}, "labels must be a list of strings"),
+    ({"labels": "abcd", "probs": [0.7, 0.3, 0.0, 0.0]}, "labels must be a list of strings"),
+]
+
+
+@pytest.mark.parametrize("posterior, message", NOT_JSON_NUMBERS)
+def test_parse_response_accepts_json_strings_and_numbers_only(posterior, message):
+    doc = {"posterior": posterior}
+    with pytest.raises(ProviderError, match=f"unreadable posterior: {message}") as err:
+        parse_response(doc)
+    assert err.value.payload is doc
+    # integers are JSON numbers too
+    ok = parse_response({"posterior": {"labels": LABELS, "probs": [1, 0, 0, 0]}})
+    assert ok.proposed_posterior.prob("ph_ok") == 1.0
+
+
+@pytest.mark.parametrize("posterior, message", NOT_JSON_NUMBERS)
+def test_a_scripted_reply_that_is_no_response_hands_off(tmp_path, capsys, posterior, message):
+    script = tmp_path / "bad.jsonl"
+    golden = (DATA / "golden_script_seed42.jsonl").read_text(encoding="utf-8").splitlines()
+    script.write_text("\n".join([golden[0], json.dumps({"posterior": posterior}), "{"]) + "\n",
+                      encoding="utf-8")
+    trace = tmp_path / "t.jsonl"
+    assert cli_main(["run", "--scenario", "lab_assay", "--seed", "42",
+                     "--provider", f"scripted:{script}", "--trace", str(trace)]) == 0
+    assert "outcome=handed_off" in capsys.readouterr().out
+    events = [json.loads(line) for line in trace.read_text(encoding="utf-8").splitlines()[1:]]
+    assert events[0]["providerError"] is None
+    assert events[1]["providerError"] == f"unreadable posterior: {message}"
+    assert events[1]["action"] == "ask_human"
+
+
+def test_a_scripted_line_that_is_not_json_is_its_steps_provider_error(tmp_path, assay):
+    # was a JSONDecodeError traceback when the script was read
+    script = tmp_path / "torn.jsonl"
+    golden = (DATA / "golden_script_seed42.jsonl").read_text(encoding="utf-8").splitlines()
+    script.write_text(f"{golden[0]}\n{{\"posterior\n", encoding="utf-8")
+    provider = ScriptedProvider.from_file(str(script))
+    query = query_for(assay.model, *(Observation("phProbe", "6.2", t) for t in range(2)))
+    raised = []
+    for _ in range(2):  # raised afresh on every ask
+        with pytest.raises(ProviderError, match="scripted response is not JSON") as err:
+            provider.infer(query)
+        assert err.value.payload == '{"posterior\n'
+        raised.append(err.value)
+    assert raised[0] is not raised[1] and provider.responses[1] not in raised
+
+
 def test_validate_response_rejects_foreign_labels(assay):
     response = WorldModelResponse(normalize([1.0], ("elsewhere",)))
     with pytest.raises(ProviderError, match="do not match model states"):
@@ -384,6 +438,18 @@ def test_remote_invalid_posterior_is_rejected_not_repaired(assay, stub):
     assert err.value.payload["posterior"]["probs"] == [0.45, 0.45, 0.0, 0.0]
 
 
+@pytest.mark.parametrize("posterior, message", NOT_JSON_NUMBERS)
+def test_a_remote_reply_that_is_no_response_hands_off(tmp_path, capsys, stub, posterior, message):
+    stub.script.extend([(200, json.dumps({"posterior": posterior}))] * 20)
+    trace = tmp_path / "t.jsonl"
+    assert cli_main(["run", "--scenario", "lab_assay", "--seed", "42",
+                     "--provider", f"remote:{stub.url}", "--trace", str(trace)]) == 0
+    assert "outcome=handed_off" in capsys.readouterr().out
+    events = [json.loads(line) for line in trace.read_text(encoding="utf-8").splitlines()[1:]]
+    assert events[0]["providerError"] == f"unreadable posterior: {message}"
+    assert events[0]["action"] == "ask_human"
+
+
 def test_remote_unreachable_is_a_provider_error(assay):
     with closing(RemoteProvider("http://127.0.0.1:9/wm", timeout=0.2)) as provider:
         with pytest.raises(ProviderError, match="unreachable"):
@@ -566,7 +632,8 @@ def test_scripted_sweep_replays_the_script_for_every_seed(tmp_path, capsys, monk
 def test_import_loads_the_http_stack_only_for_a_remote_provider(stub):
     code = (
         "import sys, actinf\n"
-        "print([m for m in ('requests', 'http.client', 'configparser') if m in sys.modules])\n"
+        "print([m for m in ('requests', 'http.client', 'configparser', 'json')"
+        " if m in sys.modules])\n"
         "sys.modules['requests'] = None  # any import of it now fails\n"
         "from actinf.cli import main\n"
         f"sys.exit(main(['run', '--scenario', 'lab_assay', '--seed', '42',"

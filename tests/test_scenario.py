@@ -10,7 +10,7 @@ import pytest
 
 from actinf.agent import Agent, run_episode
 from actinf.errors import ScenarioError
-from actinf.lab import ENV_RANGES, READERS, LabEnv
+from actinf.lab import ENV_RANGES, READERS, LabEnv, Observation
 from actinf.providers import TabularProvider
 from actinf.scenario import (
     FALLBACK_POLICY,
@@ -226,6 +226,69 @@ def test_action_params_are_what_their_primitive_reads(assay):
     scenario = load_scenario(dotted)
     assert scenario.actions["look.slow"].params == {"seconds": 30}
     assert scenario.actions["look"].params == {}
+
+
+def test_the_weights_of_one_channel_are_bounded_together():
+    second = "\n".join(["loud.channel = spillDetector", "loud.weight = 60",
+                        "loud.prefer = negative", "loud.avoid ="])
+    assert load_scenario(with_line("C", second)).model.c.entries[0].weight == 60.0
+    with pytest.raises(ScenarioError) as info:
+        load_scenario(with_line("C", second.replace("= 60", "= 99.5")))
+    assert str(info.value) == ("inline: [C] calm.weight: the weights on channel "
+                               "'spillDetector' sum to 100.4, more than 100")
+
+
+@pytest.mark.parametrize("line, value", [
+    ("look.slow.seconds = 30", 30),
+    ("look.slow.seconds = 2.5", 2.5),
+    ("look.slow.seconds = 0", 0),
+])
+def test_an_action_param_keeps_the_number_its_file_writes(line, value):
+    text = (
+        MINIMAL.replace("labels = look ask_for_help", "labels = look look.slow ask_for_help")
+        .replace("look.observes = spillDetector\n",
+                 f"look.observes = spillDetector\nlook.slow.primitive = mix\n"
+                 f"look.slow.observes = spillDetector\n{line}\n")
+        .replace("look = identity\n", "look = identity\nlook.slow = identity\n")
+    )
+    (got,) = load_scenario(text).actions["look.slow"].params.values()
+    assert got == value and type(got) is type(value)
+    # and a save writes it back as read
+    assert f"\n{line}\n" in save_scenario(load_scenario(text))
+
+
+def test_an_auto_dose_is_bounded_from_the_lowest_probe_reading():
+    text = pathlib.Path(builtin_scenario_path("lab_assay")).read_text(encoding="utf-8")
+
+    def with_effect(effect, source=text):
+        changed, count = re.subn(r"^effect_per_ul = .*$", f"effect_per_ul = {effect}", source,
+                                 flags=re.M)
+        assert count == 1
+        return changed
+
+    # 1.9 pH below the target at 0.00019 per ul plans exactly the bound
+    scenario = load_scenario(with_effect("0.00019"))
+    agent = Agent(scenario.model, scenario.agent, TabularProvider(scenario.model), scenario.actions)
+    assert agent.planned_volume_ul([Observation("phProbe", "5.5", 0)]) == 10000.0
+    with pytest.raises(ScenarioError, match=r"\[agent\] effect_per_ul: an auto titration would dose"):
+        load_scenario(with_effect("0.000189"))
+    # an agent that never reads its probe never doses from it
+    unread = text.replace("measure_pH.observes = phProbe", "measure_pH.observes = indicatorColor")
+    assert load_scenario(with_effect("1e-320", unread)).agent.effect_per_ul == 1e-320
+
+
+@pytest.mark.parametrize("primitive, line, message", [
+    ("mix", "look.seconds = -1", "seconds must be >= 0 and finite, got '-1'"),
+    ("mix", "look.seconds = inf", "seconds must be >= 0 and finite, got 'inf'"),
+    ("heat", "look.minutes = true", "minutes must be >= 0 and finite, got 'true'"),
+    ("wait", "look.minutes = nan", "minutes must be >= 0 and finite, got 'nan'"),
+])
+def test_every_numeric_action_param_is_range_checked(primitive, line, message):
+    text = with_line("actions", line).replace("look.primitive = measure",
+                                              f"look.primitive = {primitive}")
+    with pytest.raises(ScenarioError) as info:
+        load_scenario(text)
+    assert str(info.value) == f"inline: [actions] {line.split(' = ')[0]}: {message}"
 
 
 @pytest.mark.parametrize("raw", ["", "   "])
